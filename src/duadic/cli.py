@@ -112,7 +112,11 @@ def _parse_v_candidates(text, n):
 
 
 def _workers():
-    return max(1, int(os.environ.get("DUADIC_THREADS", "1") or 1))
+    text = os.environ.get("DUADIC_THREADS", "1") or "1"
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise UsageError(f"DUADIC_THREADS must be an integer, got {text!r}") from None
 
 
 def _fmt_seq(seq):
@@ -393,6 +397,8 @@ def cmd_verify_lemmas(args):
 
 
 def cmd_mindist(args):
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     spec = _make_spec(args.r, args.m, args.S, args.unchecked)
     v_candidates = _parse_v_candidates(args.v, spec.n)
     fld = field(spec.m)
@@ -456,8 +462,11 @@ def _emit(args, payload, rows, columns, text):
     else:
         body = text + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(body)
 
@@ -531,10 +540,10 @@ def main(argv=None):
         return 2
     try:
         exit_code, payload, rows, columns, text = args.handler(args)
+        _emit(args, payload, rows, columns, text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, rows, columns, text)
     return exit_code
 
 

@@ -97,8 +97,14 @@ def from_defining_set(fld, T):
 
 def dual(code):
     """The dual code: generated by the reciprocal of the check polynomial,
-    with defining set Z_n \\ (-T)."""
-    h = gf2poly.check_poly(code.g, code.n)
+    with defining set Z_n \\ (-T).
+
+    The check polynomial h is built from the complementary cosets, and
+    g * h = x^n + 1 is then verified as an independent invariant.
+    """
+    h = gf2poly.generator_poly(code.field, code.T.complement())
+    if gf2poly.mul(code.g, h) != gf2poly.x_pow_plus_one(code.n):
+        raise AssertionError("generator times check polynomial is not x^n + 1")
     g_dual = gf2poly.reciprocal(h)
     T_dual = code.T.negated().complement()
     if gf2poly.degree(g_dual) != T_dual.size:

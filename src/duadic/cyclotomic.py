@@ -132,20 +132,21 @@ class DefiningSet:
         return bool(arr[(2 * idx) % self.n].all())
 
     def coset_leaders(self):
-        """Leaders of the cosets making up this set, ascending."""
-        arr = self.bool_array()
-        seen = np.zeros(self.n, dtype=bool)
-        leaders = []
-        for s in np.flatnonzero(arr):
-            s = int(s)
-            if seen[s]:
-                continue
-            leaders.append(s)
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                x = 2 * x % self.n
-        return leaders
+        """Leaders of the cosets making up this set, ascending.
+
+        Doubling mod n = 2^m - 1 rotates the m-bit residue left by one, so
+        each member's orbit minimum is taken over m - 1 rotations. The
+        leader of an orbit is its smallest member in the set.
+        """
+        members = self.indices().astype(np.int32)
+        m = self.n.bit_length()
+        orbit_min = members.copy()
+        x = members
+        for _ in range(m - 1):
+            x = (x << 1 | x >> (m - 1)) & self.n
+            np.minimum(orbit_min, x, out=orbit_min)
+        _, first = np.unique(orbit_min, return_index=True)
+        return np.sort(members[first]).tolist()
 
     def to_json(self):
         return {"n": self.n, "leaders": self.coset_leaders()}

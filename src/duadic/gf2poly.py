@@ -1,12 +1,51 @@
 """Polynomials over GF(2) as int bitvectors (bit i = coefficient of x^i)
 and the synthesis of generator/check polynomials from defining sets.
+
+A generator or check polynomial at n = 2^m - 1 is a product of up to n
+linear factors over GF(2^m), so the path that builds it costs
+O(n log^2 n) rather than O(n^2):
+
+- The minimal polynomials of all cosets of a field are expanded together
+  in one vectorised pass and kept per field (`_minimal_poly_table`).
+- `generator_poly` multiplies them through a balanced product tree.
+- `mul` picks its method by operand size alone. Shift-xor costs one
+  big-int shift and xor per set bit of the sparser operand: quadratic, but
+  with no fixed cost, so below FFT_MIN_BITS it beats the transform. That
+  covers the many small products of small fields and the lower levels of
+  every product tree.
+- Above it, `mul` convolves the 0/1 coefficient vectors with a float64
+  FFT, rounds, and reduces mod 2. numpy's transform holds about four
+  buffers of the transform length at once, so a product longer than
+  FFT_MAX_BITS is split into halves of its longer operand first. Each
+  FFT's buffers then stay near 2 MB, and peak memory at m = 19 stays
+  where building the GF(2^m) tables already puts it.
+- The exact coefficients are integers below 2^18, far inside float64's
+  exact range, and the transform's error is far below 1/2. That margin is
+  measured, not proven, so the rounding guard requires every coefficient
+  within ROUNDING_TOLERANCE of an integer and raises otherwise: a lost
+  digit fails loudly instead of returning a wrong product.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import coset
+from ._bits import from_bool, to_bool
+from .cyclotomic import DefiningSet, coset
 
 NEG_INF = float("-inf")
+
+# Smaller operand bit length from which `mul` uses the FFT.
+FFT_MIN_BITS = 1024
+
+# Longest product, in bits, that one FFT computes; a longer one is split.
+FFT_MAX_BITS = 1 << 18
+
+# Largest allowed distance of an FFT coefficient from the nearest integer.
+ROUNDING_TOLERANCE = 0.25
+
+# Cosets expanded per numpy pass when a field's minimal polynomials are built.
+_TABLE_CHUNK = 2048
 
 
 def degree(p):
@@ -15,7 +54,21 @@ def degree(p):
 
 
 def mul(a, b):
-    """Product in GF(2)[x] (schoolbook shift-xor)."""
+    """Product in GF(2)[x]. Shift-xor when an operand is shorter than
+    FFT_MIN_BITS; otherwise FFT, after halving the longer operand until the
+    product fits in FFT_MAX_BITS."""
+    la, lb = a.bit_length(), b.bit_length()
+    if min(la, lb) < FFT_MIN_BITS:
+        return _mul_shift_xor(a, b)
+    if la + lb > FFT_MAX_BITS:
+        if la < lb:
+            a, b, la = b, a, lb
+        half = la // 2
+        return mul(a & ((1 << half) - 1), b) ^ (mul(a >> half, b) << half)
+    return _mul_fft(a, b)
+
+
+def _mul_shift_xor(a, b):
     if a.bit_count() > b.bit_count():
         a, b = b, a
     r = 0
@@ -24,6 +77,42 @@ def mul(a, b):
         r ^= b << (low.bit_length() - 1)
         a ^= low
     return r
+
+
+def _fft_length(n):
+    """Smallest 2^i 3^j 5^k >= n, a length numpy's FFT handles at full speed."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        odd3 = odd
+        while odd3 < best:
+            length = odd3 << ((n - 1) // odd3).bit_length()
+            best = min(best, length)
+            odd3 *= 3
+        odd *= 5
+    return best
+
+
+def _spectrum(p, length):
+    coeffs = np.zeros(length)
+    coeffs[: p.bit_length()] = to_bool(p, p.bit_length())
+    return np.fft.rfft(coeffs)
+
+
+def _mul_fft(a, b):
+    """Integer convolution of the coefficient vectors by FFT, then mod 2."""
+    nbits = a.bit_length() + b.bit_length() - 1
+    length = _fft_length(nbits)
+    spectrum = _spectrum(a, length)
+    spectrum *= _spectrum(b, length)
+    conv = np.fft.irfft(spectrum, length)[:nbits]
+    del spectrum  # freed before the rounding allocates its own buffer
+    exact = np.rint(conv)
+    conv -= exact
+    worst = float(np.abs(conv, out=conv).max())
+    if not worst < ROUNDING_TOLERANCE:
+        raise ArithmeticError(f"FFT product lost precision: a coefficient was {worst:.3g} from an integer")
+    return from_bool((exact.astype(np.int32) & 1).astype(bool))
 
 
 def divmod_(a, b):
@@ -84,37 +173,97 @@ def eval_at_powers(fld, p, exponents=None):
     return acc
 
 
+@lru_cache(maxsize=None)
+def _minimal_poly_table(fld):
+    """Minimal polynomial of alpha^j for every j in Z_n, as uint32 bitmasks.
+
+    Each coset's product prod (x - alpha^i) is expanded in GF(2^m)[x] with
+    numpy over a (#cosets x size) table of int32 exponents, all cosets of
+    one size at a time, in chunks of _TABLE_CHUNK cosets so the
+    temporaries stay small beside the field's own tables.
+    """
+    n, m = fld.n, fld.m
+    leaders = np.array(DefiningSet.full(n).coset_leaders(), dtype=np.int32)
+    table = np.empty(n, dtype=np.uint32)
+    for start in range(0, len(leaders), _TABLE_CHUNK):
+        chunk = leaders[start : start + _TABLE_CHUNK]
+        # orbits[:, k] = leader * 2^k mod n
+        orbits = np.empty((len(chunk), m), dtype=np.int32)
+        orbits[:, 0] = chunk
+        for k in range(1, m):
+            orbits[:, k] = 2 * orbits[:, k - 1] % n
+        # m doublings run round a coset of size d exactly m / d times
+        sizes = m // (orbits == orbits[:, :1]).sum(axis=1)
+        for size in np.unique(sizes).tolist():
+            exps = orbits[sizes == size, :size]
+            polys = _expand_roots(fld, exps)
+            for k in range(size):
+                table[exps[:, k]] = polys
+    return table
+
+
+def _expand_roots(fld, exps):
+    """Bitmasks of prod_k (x - alpha^exps[:, k]) for each row of int32
+    exponents; each product must lie in GF(2)[x]."""
+    antilog, log, n = fld.antilog_table, fld.log_table, fld.n
+    rows, size = exps.shape
+    coeffs = np.zeros((rows, size + 1), dtype=np.uint32)
+    coeffs[:, 0] = 1
+    for j in range(size):
+        low = coeffs[:, : j + 1].copy()
+        scaled = antilog[(log[low] + exps[:, j : j + 1]) % n]
+        scaled[low == 0] = 0
+        coeffs[:, : j + 1] = scaled
+        coeffs[:, 1 : j + 2] ^= low
+    if coeffs.max() > 1:
+        raise AssertionError(f"a coset product left GF(2) in GF(2^{fld.m})")
+    return np.bitwise_or.reduce(coeffs << np.arange(size + 1, dtype=np.uint32), axis=1)
+
+
 def minimal_poly(fld, cs):
     """prod_{i in cs} (x - alpha^i) for a 2-cyclotomic coset cs.
 
-    The product is expanded in GF(2^m)[x]; closure of the coset under
-    doubling forces every coefficient into GF(2), and any coefficient that
-    does not land there signals a broken coset upstream.
+    Read from the field's table of minimal polynomials. cs must be one
+    whole orbit under doubling mod n: a set that doubling does not map onto
+    itself, or that is larger than the orbit of its first element, is
+    rejected.
     """
-    coeffs = [1]
-    for i in cs.elements:
-        root = fld.pow_alpha(i)
-        nxt = [0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] ^= c
-            nxt[j] ^= fld.mul(root, c)
-        coeffs = nxt
-    if any(c > 1 for c in coeffs):
-        raise ValueError(f"coefficients of the coset product left GF(2); coset {cs.elements} is not doubling-closed mod {fld.n}")
-    g = 0
-    for j, c in enumerate(coeffs):
-        g |= c << j
-    return g
+    n = fld.n
+    if cs.n != n:
+        raise ValueError(f"coset mod {cs.n} does not match field of order {n + 1}")
+    members = set(cs.elements)
+    p = _minimal_poly_table(fld).item(cs.elements[0] % n) if members else 0
+    if len(cs.elements) != p.bit_length() - 1 or {2 * e % n for e in members} != members:
+        raise ValueError(f"coset {cs.elements} is not a doubling orbit mod {n}")
+    return p
+
+
+def _product(polys):
+    """Product of a list of polynomials through a balanced binary tree.
+
+    Runs of small factors are first folded left to right up to
+    FFT_MIN_BITS: shift-xor by a small factor costs only its few set bits,
+    which is cheaper than the tree's products of equal-sized operands.
+    """
+    folded = []
+    for p in polys:
+        if folded and folded[-1].bit_length() < FFT_MIN_BITS:
+            folded[-1] = mul(folded[-1], p)
+        else:
+            folded.append(p)
+    if not folded:
+        return 1
+    while len(folded) > 1:
+        paired = [mul(a, b) for a, b in zip(folded[::2], folded[1::2])]
+        folded = paired + folded[len(paired) * 2 :]
+    return folded[0]
 
 
 def generator_poly(fld, T):
     """Product of the minimal polynomials of the cosets in T; deg = |T|."""
     if T.n != fld.n:
         raise ValueError(f"defining set mod {T.n} does not match field of order {fld.n + 1}")
-    g = 1
-    for leader in T.coset_leaders():
-        g = mul(g, minimal_poly(fld, coset(leader, fld.n)))
-    return g
+    return _product([minimal_poly(fld, coset(leader, fld.n)) for leader in T.coset_leaders()])
 
 
 def check_poly(g, n):

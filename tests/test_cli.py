@@ -224,3 +224,24 @@ def test_text_format_default(capsys):
     code, out, _ = run_cli(capsys, "construct", "-r", "2", "-m", "5", "-S", "1")
     assert code == 0
     assert "[31,16]" in out and "duadic     yes" in out
+
+
+def test_non_integer_threads_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DUADIC_THREADS", "abc")
+    code, out, err = run_cli(capsys, "table", "-r", "4", "-S", "0,1", "-m", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "DUADIC_THREADS" in err
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mindist", "-r", "2", "-m", "7", "-S", "1", "--effort", "1", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--seed" in err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "construct", "-r", "2", "-m", "3", "-S", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()

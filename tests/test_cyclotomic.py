@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duadic.cyclotomic import (
     CyclotomicCoset,
@@ -154,3 +156,36 @@ def test_coset_type_shape():
     assert isinstance(c, CyclotomicCoset)
     assert c.elements == tuple(sorted(c.elements))
     assert c.leader == min(c.elements)
+
+
+def _scalar_coset_leaders(t):
+    """Reference: walk each orbit from its first member in the set."""
+    seen = np.zeros(t.n, dtype=bool)
+    leaders = []
+    for s in t.indices().tolist():
+        if seen[s]:
+            continue
+        leaders.append(s)
+        x = s
+        while not seen[x]:
+            seen[x] = True
+            x = 2 * x % t.n
+    return leaders
+
+
+@st.composite
+def _subsets(draw, max_m):
+    m = draw(st.integers(2, max_m))
+    n = (1 << m) - 1
+    members = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    closed = draw(st.booleans())
+    if closed:
+        members = [e for s in members for e in coset(s, n).elements]
+    return DefiningSet.from_indices(n, members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_subsets(11))
+def test_coset_leaders_match_orbit_walk(t):
+    # doubling-closed sets and arbitrary ones alike
+    assert t.coset_leaders() == _scalar_coset_leaders(t)

@@ -1,10 +1,15 @@
 import random
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duadic import gf2poly
-from duadic.cyclotomic import CyclotomicCoset, WeightClassSpec, coset, defining_set
+from duadic.code import dual, from_defining_set
+from duadic.cyclotomic import CyclotomicCoset, DefiningSet, WeightClassSpec, coset, defining_set
 from duadic.gf2m import field
 from duadic.gf2poly import (
     check_poly,
@@ -171,3 +176,130 @@ def test_hex_and_pretty():
     assert pretty(0) == "0"
     assert pretty(1) == "1"
     assert pretty(0b110) == "x^2 + x"
+
+
+def _shift_xor(a, b):
+    """Reference product: xor of b shifted by every set bit of a."""
+    r = 0
+    for i in range(a.bit_length()):
+        if (a >> i) & 1:
+            r ^= b << i
+    return r
+
+
+def _scalar_minimal_poly(fld, elements):
+    """Reference coset product prod (x - alpha^i), one field operation at a time."""
+    coeffs = [1]
+    for i in elements:
+        root = fld.pow_alpha(i)
+        nxt = [0] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            nxt[j + 1] ^= c
+            nxt[j] ^= fld.mul(root, c)
+        coeffs = nxt
+    assert all(c in (0, 1) for c in coeffs)
+    return sum(c << j for j, c in enumerate(coeffs))
+
+
+@st.composite
+def _polys(draw, max_bits, min_bits=0):
+    """A polynomial of exactly `bits` bits for a drawn bits; 0 and 1 included."""
+    bits = draw(st.integers(min_bits, max_bits))
+    return draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) if bits else 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(3 * gf2poly.FFT_MIN_BITS), _polys(3 * gf2poly.FFT_MIN_BITS))
+def test_mul_matches_shift_xor_across_the_fft_threshold(a, b):
+    assert mul(a, b) == _shift_xor(a, b) == mul(b, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polys(gf2poly.FFT_MIN_BITS + 64, min_bits=gf2poly.FFT_MIN_BITS), _polys(8 * gf2poly.FFT_MIN_BITS))
+def test_mul_matches_shift_xor_for_unequal_lengths(a, b):
+    assert mul(a, b) == _shift_xor(a, b) == mul(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(600), _polys(600))
+def test_fft_and_split_paths_match_shift_xor(a, b):
+    # thresholds shrunk so that small operands take the FFT and split paths
+    with mock.patch.object(gf2poly, "FFT_MIN_BITS", 8), mock.patch.object(gf2poly, "FFT_MAX_BITS", 256):
+        assert mul(a, b) == _shift_xor(a, b)
+    if a and b:
+        assert gf2poly._mul_fft(a, b) == _shift_xor(a, b)
+
+
+def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
+    real_irfft = np.fft.irfft
+
+    def perturbed(spectrum, n):
+        out = real_irfft(spectrum, n)
+        out[len(out) // 3] += 0.4
+        return out
+
+    rng = random.Random(5)
+    a, b = rng.getrandbits(2000) | 1 << 1999, rng.getrandbits(3000) | 1 << 2999
+    expected = mul(a, b)
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(ArithmeticError, match="precision"):
+        mul(a, b)
+    monkeypatch.setattr(np.fft, "irfft", real_irfft)
+    assert mul(a, b) == expected
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_minimal_poly_table_matches_scalar_expansion(m):
+    f = field(m)
+    for s in DefiningSet.full(f.n).coset_leaders():
+        cs = coset(s, f.n)
+        expected = _scalar_minimal_poly(f, cs.elements)
+        assert minimal_poly(f, cs) == expected
+        assert all(gf2poly._minimal_poly_table(f)[e] == expected for e in cs.elements)
+
+
+def test_expand_roots_keeps_zero_coefficients_zero():
+    # (x + 1)^2 = x^2 + 1 has a zero coefficient, which the third factor must scale to zero
+    rows = np.array([[0, 0, 0], [1, 2, 4]], dtype=np.int32)
+    assert gf2poly._expand_roots(field(3), rows).tolist() == [0b1111, 0xB]
+
+
+@pytest.mark.parametrize("elements", [(1, 2, 4, 3, 6, 5), (1, 2, 4, 1), (1, 2, 8), (8, 9, 11), (0, 0), ()])
+def test_minimal_poly_rejects_non_orbits(elements):
+    # a union of two cosets, a repeated member, members outside Z_7, a repeated zero, nothing
+    fake = CyclotomicCoset(n=7, leader=min(elements, default=0), elements=elements)
+    with pytest.raises(ValueError):
+        minimal_poly(field(3), fake)
+
+
+@st.composite
+def _specs(draw, max_m):
+    m = draw(st.integers(2, max_m))
+    r = draw(st.sampled_from([2, 4, 6, 8, 16]))
+    s = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=r - 1, unique=True))
+    return WeightClassSpec(r=r, m=m, S=tuple(sorted(s)), unchecked=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs(13))
+def test_generator_times_complement_generator_is_xn_plus_one(spec):
+    f = field(spec.m)
+    t = defining_set(spec)
+    g = generator_poly(f, t)
+    h = generator_poly(f, t.complement())
+    assert degree(g) == t.size
+    assert mul(g, h) == x_pow_plus_one(f.n)
+    assert h == check_poly(g, f.n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_specs(11))
+def test_dual_generator_is_reciprocal_of_division_quotient(spec):
+    c = from_defining_set(field(spec.m), defining_set(spec))
+    assert dual(c).g == reciprocal(check_poly(c.g, c.n))
+
+
+def test_dual_rejects_a_generator_that_is_not_the_product():
+    c = from_defining_set(field(5), defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
+    with pytest.raises(AssertionError, match="x\\^n \\+ 1"):
+        dual(replace(c, g=c.g ^ 0b10))
