@@ -19,8 +19,6 @@ from .bounds import (
 from .code import (
     CyclicCode,
     ExtendedCode,
-    GeneratorMatrix,
-    code_report,
     dual,
     extend,
     from_defining_set,
@@ -63,7 +61,6 @@ __all__ = [
     "DuadicPair",
     "ExtendedCode",
     "GF2m",
-    "GeneratorMatrix",
     "HypothesisError",
     "SqrtBoundReport",
     "TheoremVerdict",
@@ -73,7 +70,6 @@ __all__ = [
     "bounded_min_distance",
     "build_pair",
     "classify",
-    "code_report",
     "complement_spec",
     "coset",
     "default_v_candidates",

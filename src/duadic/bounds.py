@@ -98,10 +98,12 @@ def max_ap_run(T, v):
 
 
 def default_v_candidates(n):
-    """The two differences 2^((m-1)/2) - 1 and 2^((m+1)/2) - 1 for n = 2^m - 1."""
+    """The differences 2^((m-1)/2) - 1 and 2^((m+1)/2) - 1 for n = 2^m - 1 that
+    are units mod n; when neither is (m = 6, 10, 14, 18), the difference 1 of
+    the plain consecutive-root BCH bound."""
     m = n.bit_length()
     cands = {(1 << ((m - 1) // 2)) - 1, (1 << ((m + 1) // 2)) - 1}
-    return sorted(v for v in cands if v and math.gcd(v, n) == 1)
+    return sorted(v for v in cands if v and math.gcd(v, n) == 1) or [1]
 
 
 def best_certificate(T, v_candidates=None, exhaustive=False):

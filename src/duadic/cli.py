@@ -2,8 +2,8 @@
 
 Commands: construct, catalog, table, verify-lemmas, mindist. Output formats:
 text (default), json (byte-deterministic for a fixed config: sorted keys),
-csv (a flattened projection of the json rows). DUADIC_THREADS caps worker
-processes for table rows and exact enumerations.
+csv (a flattened projection of the json rows). DUADIC_THREADS sets the worker
+processes for table rows and exact enumerations, capped at the CPU count.
 """
 
 import argparse
@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 from . import gf2poly
@@ -20,12 +21,7 @@ from .code import dual, extend, from_defining_set, is_doubly_even, is_self_dual
 from .cyclotomic import WeightClassSpec, complement_spec, defining_set
 from .gf2m import field
 from .mindist import ENUM_BUDGET_K, bounded_min_distance, exact_min_distance
-from .pairs import R8_REFERENCE_SETS, classify, enumerate_catalog, is_duadic
-
-# Offset tables: theorem -> (offset when m = t mod 2r, offset when m = t+r mod 2r),
-# where the bound reads d >= 2^((m-1)/2) + offset. Dual offsets are one higher,
-# extended codes are bounded at offset 4 whenever a theorem applies.
-_D_OFFSETS = {"T4": (3, 3), "T7": (1, 1), "T8": (3, 1), "T9": (1, 3)}
+from .pairs import _THEOREM_LEMMA, R8_REFERENCE_SETS, classify, enumerate_catalog, is_duadic
 
 CONSTRUCT_COLUMNS = [
     "r", "m", "S", "t", "unchecked", "n", "k", "duadic", "theorem", "residue_case",
@@ -105,6 +101,8 @@ def _parse_v_candidates(text, n):
     if n < 3:
         raise UsageError("--v needs a code length of at least 3")
     vs = _parse_int_list(text, "--v")
+    if not vs:
+        raise UsageError("--v needs at least one candidate difference")
     for v in vs:
         if math.gcd(v % n, n) != 1:
             raise UsageError(f"--v candidate {v} is not a unit mod {n}")
@@ -112,9 +110,10 @@ def _parse_v_candidates(text, n):
 
 
 def _workers():
+    """Worker processes from DUADIC_THREADS: at least 1, at most the CPU count."""
     text = os.environ.get("DUADIC_THREADS", "1") or "1"
     try:
-        return max(1, int(text))
+        return min(max(1, int(text)), os.cpu_count() or 1)
     except ValueError:
         raise UsageError(f"DUADIC_THREADS must be an integer, got {text!r}") from None
 
@@ -134,7 +133,12 @@ def _spec_json(spec):
     }
 
 
-def _construct_report(spec, v_candidates):
+# Every fact that construct and table report about one spec.
+_Analysis = namedtuple("_Analysis", "code verdict cert dual dual_cert ext duadic self_dual doubly_even")
+
+
+def _analyze(spec, v_candidates):
+    """Build the code of a spec and derive all its reported facts, once."""
     fld = field(spec.m)
     t_set = defining_set(spec)
     c = from_defining_set(fld, t_set)
@@ -143,32 +147,31 @@ def _construct_report(spec, v_candidates):
     d = dual(c)
     dual_cert = best_certificate(d.T, v_candidates)
     e = extend(c)
-    report = {
+    return _Analysis(c, verdict, cert, d, dual_cert, e, is_duadic(spec), is_self_dual(e), is_doubly_even(e))
+
+
+def _construct_report(spec, a):
+    c, d, e = a.code, a.dual, a.ext
+    return {
         "spec": _spec_json(spec),
-        "field": {"m": fld.m, "modulus_hex": gf2poly.to_hex(fld.modulus)},
+        "field": {"m": c.field.m, "modulus_hex": gf2poly.to_hex(c.field.modulus)},
         "n": c.n,
         "k": c.k,
         "generator_hex": gf2poly.to_hex(c.g),
         "generator_degree": c.n - c.k,
-        "defining_set_leaders": t_set.coset_leaders(),
-        "duadic": is_duadic(spec),
-        "theorem": verdict.to_json(),
-        "bch": cert.to_json(),
+        "defining_set_leaders": c.T.coset_leaders(),
+        "duadic": a.duadic,
+        "theorem": a.verdict.to_json(),
+        "bch": a.cert.to_json(),
         "dual": {
             "n": d.n,
             "k": d.k,
             "generator_hex": gf2poly.to_hex(d.g),
             "defining_set_leaders": d.T.coset_leaders(),
-            "bch": dual_cert.to_json(),
+            "bch": a.dual_cert.to_json(),
         },
-        "extended": {
-            "n": e.n,
-            "k": e.k,
-            "self_dual": is_self_dual(e),
-            "doubly_even": is_doubly_even(e),
-        },
+        "extended": {"n": e.n, "k": e.k, "self_dual": a.self_dual, "doubly_even": a.doubly_even},
     }
-    return report
 
 
 def _construct_row(report):
@@ -234,7 +237,7 @@ def _yn(b):
 def cmd_construct(args):
     spec = _make_spec(args.r, args.m, args.S, args.unchecked)
     v_candidates = _parse_v_candidates(args.v, spec.n)
-    report = _construct_report(spec, v_candidates)
+    report = _construct_report(spec, _analyze(spec, v_candidates))
     payload = {"command": "construct", "report": report}
     return 0, payload, [_construct_row(report)], CONSTRUCT_COLUMNS, _construct_text(report)
 
@@ -245,7 +248,9 @@ def _catalog_rows(r, t):
     for s in enumerate_catalog(r, t):
         comp = tuple(c for c in range(r) if c not in set(s))
         verdict = classify(WeightClassSpec(r=r, m=m_probe, S=s))
-        offs = _D_OFFSETS.get(verdict.theorem)
+        lemma = _THEOREM_LEMMA.get(verdict.theorem)
+        # the theorem's bound d >= run + 1 = 2^((m-1)/2) + offset, for m = t and m = t + r (mod 2r)
+        offs = lemma and [lemma_window(lemma, m, r, "S")[1] + 1 - (1 << ((m - 1) // 2)) for m in (t, t + r)]
         rows.append({
             "r": r, "t": t, "S": _fmt_seq(s), "S_complement": _fmt_seq(comp),
             "theorem": verdict.theorem,
@@ -290,28 +295,24 @@ def cmd_catalog(args):
 
 
 def _table_row(task):
-    r, m, s, unchecked, v_candidates = task
+    r, m, s, unchecked, v_candidates, error = task  # error: why the catalog for m failed, else None
     base = {col: None for col in TABLE_COLUMNS}
-    base.update({"r": r, "m": m, "S": _fmt_seq(s)})
+    base.update({"r": r, "m": m, "S": _fmt_seq(s), "error": error})
+    if error is not None:
+        return base
     try:
         spec = WeightClassSpec(r=r, m=m, S=s, unchecked=unchecked)
-        t_set = defining_set(spec)
-        verdict = classify(spec)
-        cert = best_certificate(t_set, v_candidates)
-        fld = field(m)
-        c = from_defining_set(fld, t_set)
-        d = dual(c)
-        dual_cert = best_certificate(d.T, v_candidates)
-        e = extend(c)
+        a = _analyze(spec, v_candidates)
+        c, d, e = a.code, a.dual, a.ext
         base.update({
-            "n": c.n, "k": c.k, "duadic": is_duadic(spec),
-            "theorem": verdict.theorem, "residue_case": verdict.residue_case,
-            "predicted_d_lower": verdict.d_lower,
-            "certified_d_lower": cert.d_lower,
-            "dual_k": d.k, "dual_certified_d_lower": dual_cert.d_lower,
+            "n": c.n, "k": c.k, "duadic": a.duadic,
+            "theorem": a.verdict.theorem, "residue_case": a.verdict.residue_case,
+            "predicted_d_lower": a.verdict.d_lower,
+            "certified_d_lower": a.cert.d_lower,
+            "dual_k": d.k, "dual_certified_d_lower": a.dual_cert.d_lower,
             "ext_n": e.n, "ext_k": e.k,
-            "predicted_d_ext_lower": verdict.d_ext_lower,
-            "self_dual": is_self_dual(e), "doubly_even": is_doubly_even(e),
+            "predicted_d_ext_lower": a.verdict.d_ext_lower,
+            "self_dual": a.self_dual, "doubly_even": a.doubly_even,
         })
         if c.k <= ENUM_BUDGET_K:
             found = exact_min_distance(c, workers=1)
@@ -321,7 +322,7 @@ def _table_row(task):
             base["ext_exact_d"] = ext_found.lower
         if d.k <= ENUM_BUDGET_K:
             base["dual_exact_d"] = exact_min_distance(d, workers=1).lower
-    except Exception as exc:  # noqa: BLE001 - per-row errors are reported inline
+    except ValueError as exc:  # invalid specs and zero codes are reported inline; invariant failures escape
         base["error"] = str(exc)
     return base
 
@@ -340,22 +341,12 @@ def cmd_table(args):
             tasks.extend((args.r, m, s, args.unchecked, v_candidates, None) for s in sets)
         else:
             tasks.append((args.r, m, _parse_residues(args.S, args.r), args.unchecked, v_candidates, None))
-    rows = []
-    runnable = [t[:5] for t in tasks if t[5] is None]
     workers = _workers()
-    if workers > 1 and len(runnable) > 1:
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_table_row, runnable))
+            rows = list(pool.map(_table_row, tasks))
     else:
-        computed = [_table_row(t) for t in runnable]
-    it = iter(computed)
-    for task in tasks:
-        if task[5] is None:
-            rows.append(next(it))
-        else:
-            row = {col: None for col in TABLE_COLUMNS}
-            row.update({"r": task[0], "m": task[1], "S": _fmt_seq(task[2]), "error": task[5]})
-            rows.append(row)
+        rows = [_table_row(t) for t in tasks]
     payload = {"command": "table", "r": args.r, "S": args.S, "m_list": m_list, "rows": rows}
     return 0, payload, rows, TABLE_COLUMNS, _render_table(TABLE_COLUMNS, rows)
 
@@ -399,6 +390,8 @@ def cmd_verify_lemmas(args):
 def cmd_mindist(args):
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.effort < 0:
+        raise UsageError(f"--effort must be a non-negative integer, got {args.effort}")
     spec = _make_spec(args.r, args.m, args.S, args.unchecked)
     v_candidates = _parse_v_candidates(args.v, spec.n)
     fld = field(spec.m)

@@ -24,12 +24,6 @@ class CyclicCode:
         """Cyclic-shift generator matrix rows x^i * g, 0 <= i < k."""
         return [self.g << i for i in range(self.k)]
 
-    def generator_matrix(self, systematic=False):
-        rows = self.generator_rows()
-        if systematic:
-            rows, _ = row_reduce(rows)
-        return GeneratorMatrix(rows=tuple(rows), n=self.n, systematic=systematic)
-
     def contains(self, word):
         """Membership: word(x) is a multiple of g(x)."""
         if word >> self.n:
@@ -38,19 +32,6 @@ class CyclicCode:
 
     def params(self):
         return (self.n, self.k)
-
-
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """k x n bit matrix whose rows span the code."""
-
-    rows: tuple
-    n: int
-    systematic: bool
-
-    @property
-    def k(self):
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -186,25 +167,3 @@ def matrix_product_is_zero(rows_a, rows_b):
     """Explicit A * B^T = 0 over GF(2); the small-scale oracle for the
     lag-based self-orthogonality shortcut."""
     return all((ra & rb).bit_count() % 2 == 0 for ra in rows_a for rb in rows_b)
-
-
-def code_report(code, ext=None):
-    """Report dict matching the documented JSON schema for one code."""
-    d = dual(code)
-    ext = ext if ext is not None else extend(code)
-    return {
-        "n": code.n,
-        "k": code.k,
-        "generator_hex": gf2poly.to_hex(code.g),
-        "defining_set_leaders": code.T.coset_leaders(),
-        "dual": {
-            "n": d.n,
-            "k": d.k,
-            "generator_hex": gf2poly.to_hex(d.g),
-            "defining_set_leaders": d.T.coset_leaders(),
-        },
-        "extended": {
-            "self_dual": is_self_dual(ext),
-            "doubly_even": is_doubly_even(ext),
-        },
-    }

@@ -6,7 +6,6 @@ Above the budget, a BCH certificate supplies the lower bound and a seeded
 information-set search supplies the upper bound.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -78,12 +77,6 @@ class WeightDistribution:
                 "even": self.is_even, "doubly_even": self.is_doubly_even}
 
 
-def _workers(workers):
-    if workers is None:
-        workers = int(os.environ.get("DUADIC_THREADS", "1") or 1)
-    return max(1, workers)
-
-
 def _encode(rows, message):
     word = 0
     while message:
@@ -129,7 +122,7 @@ def _partitions(total, parts):
 
 
 def _run_partitioned(fn, rows, total, workers, extra=()):
-    parts = _partitions(total, workers)
+    parts = _partitions(total, max(1, workers))
     args = [(rows, lo, hi, *extra) for lo, hi in parts]
     if workers > 1 and len(parts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -146,11 +139,12 @@ def _check_budget(c):
         )
 
 
-def exact_min_distance(c, workers=None):
-    """Exact minimum distance by full message-space enumeration (k <= 24)."""
+def exact_min_distance(c, workers=1):
+    """Exact minimum distance by full message-space enumeration (k <= 24),
+    split over `workers` processes."""
     _check_budget(c)
     rows = tuple(c.generator_rows())
-    results = _run_partitioned(_scan_range, rows, 1 << c.k, _workers(workers))
+    results = _run_partitioned(_scan_range, rows, 1 << c.k, workers)
     best_w, best_i, best_word = None, None, 0
     best_odd = None
     for w, i, word, odd in results:
@@ -164,11 +158,11 @@ def exact_min_distance(c, workers=None):
     )
 
 
-def weight_distribution(c, workers=None):
-    """Full weight distribution by enumeration (k <= 24)."""
+def weight_distribution(c, workers=1):
+    """Full weight distribution by enumeration (k <= 24), split over `workers` processes."""
     _check_budget(c)
     rows = tuple(c.generator_rows())
-    results = _run_partitioned(_count_range, rows, 1 << c.k, _workers(workers), extra=(c.n,))
+    results = _run_partitioned(_count_range, rows, 1 << c.k, workers, extra=(c.n,))
     counts = [sum(col) for col in zip(*results)]
     return WeightDistribution(n=c.n, k=c.k, counts=tuple(counts))
 

@@ -11,8 +11,8 @@ from .cyclotomic import complement_spec, defining_set
 
 CATALOG_R_MAX = 16
 
-# Theorem id -> the lemma whose run window certifies its bound.
-_THEOREM_LEMMA = (("T4", "L3"), ("T7", "L4"), ("T8", "L5"), ("T9", "L6"))
+# Theorem id -> the lemma whose run window certifies its bound, in precedence order.
+_THEOREM_LEMMA = {"T4": "L3", "T7": "L4", "T8": "L5", "T9": "L6"}
 
 # Known duadic half-sets for r = 8, one representative per complement pair,
 # keyed by t = m mod 8. Used as a regression cross-check by the catalog
@@ -85,22 +85,25 @@ def is_duadic(spec):
     classes that are empty at that small m, and such specs carry no
     m-uniform certificate, so they are reported as non-duadic here.
     """
-    s = set(spec.S)
-    comp = set(range(spec.r)) - s
-    return comp == {(spec.t - c) % spec.r for c in s}
+    return _splits(spec.r, spec.t, spec.S)
+
+
+def _splits(r, t, s):
+    """Z_r \\ S = (t - S) mod r for S of distinct residues, i.e. |S| = r/2
+    and no c in S has its reflection t - c in S."""
+    if 2 * len(s) != r:
+        return False
+    for c in s:
+        if (t - c) % r in s:
+            return False
+    return True
 
 
 def build_pair(spec, even_like=False):
     """The duadic pair (T_S, T_S') for a duadic spec; the even-like variant
     adds 0 to both sides."""
-    s = set(spec.S)
-    comp = set(range(spec.r)) - s
-    refl = {(spec.t - c) % spec.r for c in s}
-    if comp != refl:
-        raise ValueError(
-            f"spec is not duadic: Z_{spec.r} \\ S = {sorted(comp)} but "
-            f"(t - S) mod r = {sorted(refl)} with t = {spec.t}"
-        )
+    if not is_duadic(spec):
+        raise ValueError(f"spec is not duadic: Z_{spec.r} \\ S != (t - S) mod r for S = {spec.S}, t = {spec.t}")
     t1 = defining_set(spec)
     t2 = defining_set(complement_spec(spec))
     if even_like:
@@ -121,7 +124,7 @@ def classify(spec):
     r, m, t = spec.r, spec.m, spec.t
     s_set = set(spec.S)
     matches = []
-    for theorem, lemma in _THEOREM_LEMMA:
+    for theorem, lemma in _THEOREM_LEMMA.items():
         if t == _EXCLUDED_T[lemma]:
             continue
         if lemma == "L3" and r <= 2:
@@ -174,9 +177,4 @@ def enumerate_catalog(r, t):
         raise ValueError(f"exhaustive catalog is capped at r <= {CATALOG_R_MAX}")
     if t % 2 == 0 or not 0 <= t < r:
         raise ValueError(f"t must be an odd residue in Z_{r}, got {t}")
-    out = []
-    universe = set(range(r))
-    for s in combinations(range(r), r // 2):
-        if universe - set(s) == {(t - c) % r for c in s}:
-            out.append(s)
-    return out
+    return [s for s in combinations(range(r), r // 2) if _splits(r, t, s)]

@@ -100,6 +100,8 @@ def test_default_candidates():
     assert default_v_candidates(31) == [3, 7]
     assert default_v_candidates(511) == [15, 31]
     assert default_v_candidates(7) == [1, 3]
+    # m = 6, 10: neither difference is a unit, so the plain BCH difference 1 is used
+    assert default_v_candidates(63) == default_v_candidates(1023) == [1]
 
 
 def test_best_certificate_default_and_explicit():

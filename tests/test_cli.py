@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
-from duadic.cli import main
-from duadic.cyclotomic import DefiningSet
+from duadic import cli, gf2poly
+from duadic.bounds import max_ap_run
+from duadic.cli import _catalog_rows, main
+from duadic.code import dual, from_defining_set
+from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
+from duadic.gf2m import field
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +38,31 @@ def test_construct_r2_m5(capsys):
     assert rep["extended"] == {"n": 32, "k": 16, "self_dual": True, "doubly_even": True}
     rebuilt = DefiningSet.from_leaders(rep["n"], rep["defining_set_leaders"])
     assert rebuilt.size == 15
+
+
+def test_construct_json_round_trips_generators_and_leaders(capsys):
+    code, payload, _ = run_json(capsys, "construct", "-r", "2", "-m", "5", "-S", "1")
+    assert code == 0
+    rep = payload["report"]
+    c = from_defining_set(field(5), defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
+    assert gf2poly.from_hex(rep["generator_hex"]) == c.g
+    assert gf2poly.from_hex(rep["dual"]["generator_hex"]) == dual(c).g
+    assert DefiningSet.from_leaders(rep["n"], rep["defining_set_leaders"]) == c.T
+    assert DefiningSet.from_leaders(rep["n"], rep["dual"]["defining_set_leaders"]) == c.T.with_zero()
+
+
+def test_bch_falls_back_to_difference_one(capsys):
+    # at m = 6 and m = 10 neither 2^((m-1)/2) - 1 nor 2^((m+1)/2) - 1 is a unit mod n
+    code, payload, err = run_json(capsys, "construct", "-r", "4", "-m", "6", "-S", "0,1", "--unchecked")
+    assert code == 0, err
+    bch = payload["report"]["bch"]
+    T = defining_set(WeightClassSpec(r=4, m=6, S=(0, 1), unchecked=True))
+    assert bch["v"] == 1 and bch["d_lower"] == bch["run_length"] + 1 > 1
+    assert all((bch["l"] + i) % T.n in T for i in range(bch["run_length"]))
+    code, payload, err = run_json(capsys, "mindist", "-r", "4", "-m", "10", "-S", "0,1", "--unchecked")
+    assert code == 0, err
+    T = defining_set(WeightClassSpec(r=4, m=10, S=(0, 1), unchecked=True))
+    assert payload["bound"]["lower"] == max_ap_run(T, 1).d_lower <= payload["bound"]["upper"]
 
 
 def test_construct_r8_m9(capsys):
@@ -80,6 +110,21 @@ def test_catalog_r8(capsys):
     assert row["theorem"] == "T9"
     assert (row["d_offset_case_t"], row["d_offset_case_t_plus_r"]) == (1, 3)
     assert any("reference sets" in note for note in payload["notes"])
+
+
+def test_catalog_offsets_match_the_theorem_table():
+    # theorem -> (offset for m = t, offset for m = t + r (mod 2r)) in d >= 2^((m-1)/2) + offset
+    reference = {"T4": (3, 3), "T7": (1, 1), "T8": (3, 1), "T9": (1, 3)}
+    seen = set()
+    for r in range(2, 17, 2):
+        for t in range(1, r, 2):
+            for row in _catalog_rows(r, t):
+                offs = reference.get(row["theorem"])
+                expected = (offs[0], offs[1], offs[0] + 1, offs[1] + 1, 4) if offs else (None,) * 5
+                assert (row["d_offset_case_t"], row["d_offset_case_t_plus_r"], row["d_dual_offset_case_t"],
+                        row["d_dual_offset_case_t_plus_r"], row["d_ext_offset"]) == expected, (r, t, row)
+                seen.add(row["theorem"])
+    assert seen == set(reference)
 
 
 def test_catalog_r2(capsys):
@@ -132,6 +177,17 @@ def test_table_row_error_inline(capsys):
     rows = payload["rows"]
     assert rows[0]["error"] and "odd" in rows[0]["error"]
     assert rows[1]["error"] is None and rows[1]["exact_d"] == 7
+
+
+def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
+    def broken_dual(code):
+        raise AssertionError("generator times check polynomial is not x^n + 1")
+
+    monkeypatch.delenv("DUADIC_THREADS", raising=False)
+    monkeypatch.setattr(cli, "dual", broken_dual)
+    with pytest.raises(AssertionError, match="check polynomial"):
+        main(["table", "-r", "2", "-S", "1", "-m", "3,5", "--format", "json"])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_lemmas(capsys):
@@ -204,6 +260,8 @@ def test_custom_v_candidates(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "construct", "-r", "8", "-m", "9", "-S", "0,2,3,4", "--v", "73")
     assert code == 2 and "unit" in err
+    code, _, err = run_cli(capsys, "construct", "-r", "8", "-m", "9", "-S", "0,2,3,4", "--v", "")
+    assert code == 2 and "at least one" in err
 
 
 def test_no_command_prints_help(capsys):
@@ -245,3 +303,19 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.exists()
+
+
+def test_negative_effort_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mindist", "-r", "2", "-m", "7", "-S", "1", "--effort", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--effort" in err
+
+
+def test_threads_are_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for text, expected in (("64", 2), ("2", 2), ("1", 1), ("0", 1), ("-5", 1), ("", 1)):
+        monkeypatch.setenv("DUADIC_THREADS", text)
+        assert cli._workers() == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
+    monkeypatch.setenv("DUADIC_THREADS", "8")
+    assert cli._workers() == 1
