@@ -3,7 +3,7 @@
 Commands: construct, catalog, table, verify-lemmas, mindist. Output formats:
 text (default), json (byte-deterministic for a fixed config: sorted keys),
 csv (a flattened projection of the json rows). DUADIC_THREADS sets the worker
-processes for table rows and exact enumerations, capped at the CPU count.
+processes for table rows, capped at the CPU count.
 """
 
 import argparse
@@ -315,13 +315,13 @@ def _table_row(task):
             "self_dual": a.self_dual, "doubly_even": a.doubly_even,
         })
         if c.k <= ENUM_BUDGET_K:
-            found = exact_min_distance(c, workers=1)
+            found = exact_min_distance(c)
             base["exact_d"] = found.lower
             base["min_odd_weight"] = found.min_odd_weight
-            ext_found = exact_min_distance(e, workers=1)
+            ext_found = exact_min_distance(e)
             base["ext_exact_d"] = ext_found.lower
         if d.k <= ENUM_BUDGET_K:
-            base["dual_exact_d"] = exact_min_distance(d, workers=1).lower
+            base["dual_exact_d"] = exact_min_distance(d).lower
     except ValueError as exc:  # invalid specs and zero codes are reported inline; invariant failures escape
         base["error"] = str(exc)
     return base
@@ -401,7 +401,7 @@ def cmd_mindist(args):
     elif args.code == "extended":
         c = extend(c)
     if c.k <= ENUM_BUDGET_K:
-        bound = exact_min_distance(c, workers=_workers())
+        bound = exact_min_distance(c)
     else:
         bound = bounded_min_distance(c, effort=args.effort, seed=args.seed, v_candidates=v_candidates)
     payload = {

@@ -1,12 +1,12 @@
 """Exact and bounded minimum-distance computation.
 
-Exact distances and weight distributions come from Gray-code enumeration of
-the full message space (one row-xor per codeword), budgeted at k <= 24.
-Above the budget, a BCH certificate supplies the lower bound and a seeded
-information-set search supplies the upper bound.
+Exact distances and weight distributions come from a Walsh-Hadamard
+transform of the generator columns over the whole message space (O(k 2^k)
+additions), budgeted at k <= 24. Above the budget, a BCH certificate
+supplies the lower bound and a seeded information-set search supplies the
+upper bound.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,6 +17,8 @@ from .bounds import best_certificate
 from .code import ExtendedCode, row_reduce
 
 ENUM_BUDGET_K = 24
+LOW_BITS = 12  # message bits per transform row
+BLOCK_BITS = 16  # at most 2^16 messages per block
 
 
 @dataclass(frozen=True)
@@ -86,85 +88,79 @@ def _encode(rows, message):
     return word
 
 
-def _scan_range(rows, lo, hi):
-    """Min weight (with first message index and witness) and min odd weight
-    over the Gray-ordered messages lo..hi-1; message 0 is skipped."""
-    cur = _encode(rows, lo ^ (lo >> 1))
-    best_w = best_i = None
-    best_word = 0
-    best_odd = None
-    for i in range(lo, hi):
-        if i != lo:
-            cur ^= rows[(i & -i).bit_length() - 1]
-        if i == 0:
-            continue
-        w = cur.bit_count()
-        if best_w is None or w < best_w:
-            best_w, best_i, best_word = w, i, cur
-        if w & 1 and (best_odd is None or w < best_odd):
-            best_odd = w
-    return best_w, best_i, best_word, best_odd
+def _wht(v):
+    """Walsh-Hadamard transform of v (rows, A, B) over its last two axes.
+    Butterflies run along the middle axis, then again after a transposing
+    copy, so every pass streams contiguous runs of at least A or B entries."""
+    for _ in range(2):
+        rows, size, inner = v.shape
+        h = 1
+        while h < size:
+            pairs = v.reshape(rows, size // (2 * h), 2, h * inner)
+            u, w = pairs[:, :, 0], pairs[:, :, 1]
+            u += w
+            w *= -2
+            w += u  # (u + w, u - w)
+            h *= 2
+        v = np.ascontiguousarray(v.transpose(0, 2, 1))
+    return v
 
 
-def _count_range(rows, lo, hi, n):
-    counts = [0] * (n + 1)
-    cur = _encode(rows, lo ^ (lo >> 1))
-    for i in range(lo, hi):
-        if i != lo:
-            cur ^= rows[(i & -i).bit_length() - 1]
-        counts[cur.bit_count()] += 1
-    return counts
+def _weight_blocks(c):
+    """Yield (first message, weights of the next messages in order) over all
+    2^k messages: wt(mG) = (n - sum_j (-1)^<m, col_j>) / 2 over the columns.
 
-
-def _partitions(total, parts):
-    step = -(-total // parts)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _run_partitioned(fn, rows, total, workers, extra=()):
-    parts = _partitions(total, max(1, workers))
-    args = [(rows, lo, hi, *extra) for lo, hi in parts]
-    if workers > 1 and len(parts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*args)))
-    return [fn(*a) for a in args]
-
-
-def _check_budget(c):
-    if c.k < 1:
+    Messages m = (m_h << a) | l and columns split into a = min(k, LOW_BITS)
+    low bits and k - a high bits. Row m_h of a block gets V[l'] = sum over the
+    columns with low part l' of (-1)^popcount(m_h & high part), and the
+    transform of V gives the column sum for every l.
+    """
+    n, k = c.n, c.k
+    if k < 1:
         raise ValueError("the zero code has no nonzero codeword")
-    if c.k > ENUM_BUDGET_K:
-        raise ValueError(
-            f"k={c.k} exceeds the 2^{ENUM_BUDGET_K} enumeration budget; use bounded_min_distance"
-        )
+    if k > ENUM_BUDGET_K:
+        raise ValueError(f"k={k} exceeds the 2^{ENUM_BUDGET_K} enumeration budget; use bounded_min_distance")
+    a = min(k, LOW_BITS)
+    cols = sum(to_bool(row, n).astype(np.int64) << i for i, row in enumerate(c.generator_rows()))
+    lo, hi = cols & ((1 << a) - 1), cols >> a
+    # a power of two of rows, so at most 2^BLOCK_BITS signs unless one row has more
+    rows = 1 << max(0, min(k - a, BLOCK_BITS - a, ((1 << BLOCK_BITS) // n).bit_length() - 1))
+    index = ((np.arange(rows)[:, None] << a) | lo).ravel()
+    for first in range(0, 1 << (k - a), rows):
+        m_h = np.arange(first, first + rows)[:, None]
+        v = np.zeros(rows << a, dtype=np.int32)
+        np.add.at(v, index, 1 - 2 * (np.bitwise_count(m_h & hi) & 1).astype(np.int32).ravel())
+        v = _wht(v.reshape(rows, 1 << (a - a // 2), 1 << (a // 2)))
+        yield first << a, (n - v.reshape(-1)) >> 1
 
 
-def exact_min_distance(c, workers=1):
-    """Exact minimum distance by full message-space enumeration (k <= 24),
-    split over `workers` processes."""
-    _check_budget(c)
-    rows = tuple(c.generator_rows())
-    results = _run_partitioned(_scan_range, rows, 1 << c.k, workers)
-    best_w, best_i, best_word = None, None, 0
-    best_odd = None
-    for w, i, word, odd in results:
-        if w is not None and (best_w is None or (w, i) < (best_w, best_i)):
-            best_w, best_i, best_word = w, i, word
-        if odd is not None and (best_odd is None or odd < best_odd):
-            best_odd = odd
+def exact_min_distance(c):
+    """Exact minimum distance by a transform over the full message space
+    (k <= 24). The witness is the first minimum-weight codeword in Gray-code
+    order: among the lightest messages, the one of smallest Gray rank."""
+    counts = np.zeros(c.n + 1, dtype=np.int64)
+    best = (c.n + 1, 0)  # (weight, Gray rank), heavier than any codeword
+    for first, weights in _weight_blocks(c):
+        counts += np.bincount(weights, minlength=c.n + 1)
+        if first == 0:
+            weights[0] = c.n + 1  # message 0
+        w = int(weights.min())
+        if w <= best[0]:
+            rank = first + np.flatnonzero(weights == w)
+            for shift in (1, 2, 4, 8, 16):  # inverse Gray code: prefix xor of the k <= 24 bits
+                rank ^= rank >> shift
+            best = min(best, (w, int(rank.min())))
+    d, rank = best
     return CertifiedBound(
-        lower=best_w, upper=best_w, exact=True, witness=best_word,
-        method="enumeration", min_odd_weight=best_odd,
+        lower=d, upper=d, exact=True, witness=_encode(c.generator_rows(), rank ^ (rank >> 1)),
+        method="enumeration", min_odd_weight=next((w for w in range(1, c.n + 1, 2) if counts[w]), None),
     )
 
 
-def weight_distribution(c, workers=1):
-    """Full weight distribution by enumeration (k <= 24), split over `workers` processes."""
-    _check_budget(c)
-    rows = tuple(c.generator_rows())
-    results = _run_partitioned(_count_range, rows, 1 << c.k, workers, extra=(c.n,))
-    counts = [sum(col) for col in zip(*results)]
-    return WeightDistribution(n=c.n, k=c.k, counts=tuple(counts))
+def weight_distribution(c):
+    """Full weight distribution by a transform over the message space (k <= 24)."""
+    counts = sum(np.bincount(weights, minlength=c.n + 1) for _, weights in _weight_blocks(c))
+    return WeightDistribution(n=c.n, k=c.k, counts=tuple(int(x) for x in counts))
 
 
 def _permute_columns(rows, perm, n):

@@ -1,10 +1,10 @@
 """Duadic pairs built from weight-class specs, the theorem classifier that
-maps a spec to its certified bound family (T4, T7, T8, T9), and brute-force
-enumeration of every duadic S for a given (r, t).
+maps a spec to its certified bound family (T4, T7, T8, T9), and the catalog
+of every duadic S for a given (r, t).
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 
 from .bounds import _anchor_sets, _EXCLUDED_T, lemma_window
 from .cyclotomic import complement_spec, defining_set
@@ -169,12 +169,17 @@ def classify(spec):
 
 
 def enumerate_catalog(r, t):
-    """All S half-sets of Z_r that are duadic for m = t mod r, by brute
-    force over the C(r, r/2) candidates; both S and its complement appear."""
+    """All S half-sets of Z_r that are duadic for m = t mod r, in
+    lexicographic order; both S and its complement appear.
+
+    For odd t the reflection c -> (t - c) mod r pairs up Z_r with no fixed
+    point, and S is duadic exactly when it takes one residue of each pair,
+    so the 2^(r/2) sets are generated directly."""
     if r < 2 or r % 2:
         raise ValueError(f"r must be a positive even integer, got {r}")
     if r > CATALOG_R_MAX:
         raise ValueError(f"exhaustive catalog is capped at r <= {CATALOG_R_MAX}")
     if t % 2 == 0 or not 0 <= t < r:
         raise ValueError(f"t must be an odd residue in Z_{r}, got {t}")
-    return [s for s in combinations(range(r), r // 2) if _splits(r, t, s)]
+    pairs = [(c, (t - c) % r) for c in range(r) if c < (t - c) % r]
+    return sorted(tuple(sorted(picks)) for picks in product(*pairs))

@@ -291,6 +291,12 @@ def test_non_integer_threads_is_a_usage_error(capsys, monkeypatch):
     assert err.startswith("error: ") and "DUADIC_THREADS" in err
 
 
+def test_mindist_does_not_read_threads(capsys, monkeypatch):
+    monkeypatch.setenv("DUADIC_THREADS", "abc")
+    code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "5", "-S", "1")
+    assert code == 0 and payload["bound"]["lower"] == 7
+
+
 def test_negative_seed_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "mindist", "-r", "2", "-m", "7", "-S", "1", "--effort", "1", "--seed", "-1")
     assert code == 2 and out == ""

@@ -299,6 +299,17 @@ def test_dual_generator_is_reciprocal_of_division_quotient(spec):
     assert dual(c).g == reciprocal(check_poly(c.g, c.n))
 
 
+@settings(max_examples=40, deadline=None)
+@given(_specs(13))
+def test_dual_defining_set_is_complement_of_negation(spec):
+    f = field(spec.m)
+    c = from_defining_set(f, defining_set(spec))
+    expected = set(range(c.n)) - {(-j) % c.n for j in c.T.indices()}
+    d = dual(c)
+    assert set(d.T.indices()) == expected
+    assert d.g == generator_poly(f, DefiningSet.from_indices(c.n, sorted(expected)))
+
+
 def test_dual_rejects_a_generator_that_is_not_the_product():
     c = from_defining_set(field(5), defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
     with pytest.raises(AssertionError, match="x\\^n \\+ 1"):

@@ -1,14 +1,17 @@
 import math
+from dataclasses import dataclass
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from duadic.code import dual, extend, from_defining_set
+from duadic import mindist
+from duadic.code import dual, extend, from_defining_set, rank
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
 from duadic.mindist import (
     CertifiedBound,
-    _count_range,
-    _scan_range,
     bounded_min_distance,
     exact_min_distance,
     weight_distribution,
@@ -16,8 +19,124 @@ from duadic.mindist import (
 from duadic.pairs import complement_spec, enumerate_catalog
 
 
-def _code(r, m, S):
-    return from_defining_set(field(m), defining_set(WeightClassSpec(r=r, m=m, S=S)))
+def _code(r, m, S, unchecked=False):
+    return from_defining_set(field(m), defining_set(WeightClassSpec(r=r, m=m, S=S, unchecked=unchecked)))
+
+
+def _gray_scan(rows, n):
+    """Reference: one row-xor per codeword over the messages in Gray-code
+    order. Returns the minimum nonzero weight, the first codeword of that
+    weight, the minimum odd weight (None if none) and the weight counts."""
+    counts = [1] + [0] * n
+    best_w = best_word = best_odd = None
+    word = 0
+    for i in range(1, 1 << len(rows)):
+        word ^= rows[(i & -i).bit_length() - 1]
+        w = word.bit_count()
+        counts[w] += 1
+        if best_w is None or w < best_w:
+            best_w, best_word = w, word
+        if w & 1 and (best_odd is None or w < best_odd):
+            best_odd = w
+    return best_w, best_word, best_odd, counts
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A linear code given only by its generator rows."""
+
+    n: int
+    rows: tuple
+
+    @property
+    def k(self):
+        return len(self.rows)
+
+    def generator_rows(self):
+        return list(self.rows)
+
+
+@st.composite
+def _generator_matrices(draw):
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(k, 64))
+    rows = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k)))
+    assume(rank(rows) == k)
+    return _Rows(n, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_matrices(), st.integers(1, 13), st.integers(1, 17))
+def test_transform_matches_gray_scan(c, low_bits, block_bits):
+    # small constants split k <= 12 into several blocks, and into b = 0 high bits when low_bits >= k
+    d, witness, min_odd, counts = _gray_scan(c.rows, c.n)
+    with mock.patch.object(mindist, "LOW_BITS", low_bits), mock.patch.object(mindist, "BLOCK_BITS", block_bits):
+        found = exact_min_distance(c)
+        wd = weight_distribution(c)
+    assert (found.lower, found.upper, found.witness, found.min_odd_weight) == (d, d, witness, min_odd)
+    assert list(wd.counts) == counts
+
+
+def test_transform_matches_gray_scan_at_default_constants():
+    c = _code(2, 5, (1,))  # k = 16: 2^4 transform rows of 2^12 messages each
+    d, witness, min_odd, counts = _gray_scan(tuple(c.generator_rows()), c.n)
+    found = exact_min_distance(c)
+    assert (found.lower, found.witness, found.min_odd_weight) == (d, witness, min_odd)
+    assert list(weight_distribution(c).counts) == counts
+
+
+# witness_low: the low 64 bits of the first minimum-weight codeword in Gray-code order
+@pytest.mark.parametrize("code, d, min_odd, witness_low", [
+    ("primal", 979, 979, 0x69A99AC1722FD865), ("extended", 980, None, 0xA3ECE5605D8548A1)], ids=["primal", "extended"])
+def test_k23_distances(code, d, min_odd, witness_low):
+    c = _code(12, 11, (0, 2, 3, 4, 5, 6, 7, 8, 9, 11), unchecked=True)
+    if code == "extended":
+        c = extend(c)
+    assert c.k == 23
+    found = exact_min_distance(c)
+    assert (found.lower, found.upper, found.min_odd_weight) == (d, d, min_odd)
+    assert c.contains(found.witness) and found.witness.bit_count() == d
+    assert found.witness & ((1 << 64) - 1) == witness_low  # 128 blocks at the default constants
+    wd = weight_distribution(c)
+    assert sum(wd.counts) == 1 << 23 and wd.counts[0] == 1
+    assert min(w for w in range(1, c.n + 1) if wd.counts[w]) == d
+
+
+@st.composite
+def _small_k_specs(draw, max_k, max_m=13):
+    """Unchecked weight-class specs with m <= max_m whose code has k <= max_k:
+    S leaves out only residues whose weight classes hold few exponents."""
+    m = draw(st.integers(2, max_m))
+    r = draw(st.sampled_from([2, 4, 6, 8, 16]))
+    size = [sum(math.comb(m, w) for w in range(1, m) if w % r == c) for c in range(r)]
+    small = [c for c in range(r) if size[c] < max_k]
+    assume(small)
+    left_out = draw(st.lists(st.sampled_from(small), min_size=1, unique=True))
+    assume(1 + sum(size[c] for c in left_out) <= max_k)  # k = 1 + the exponents outside T
+    s = tuple(c for c in range(r) if c not in left_out)
+    return WeightClassSpec(r=r, m=m, S=s, unchecked=True)
+
+
+def _spec_code(spec, extended):
+    c = from_defining_set(field(spec.m), defining_set(spec))
+    return extend(c) if extended else c
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_k_specs(max_k=16), st.booleans())
+def test_exact_witness_is_a_codeword(spec, extended):
+    c = _spec_code(spec, extended)
+    found = exact_min_distance(c)
+    assert c.contains(found.witness) and found.witness.bit_count() == found.lower
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_k_specs(max_k=40), st.booleans(), st.integers(0, 3), st.integers(0, 2**32))
+def test_bounded_witness_is_a_codeword(spec, extended, effort, seed):
+    c = _spec_code(spec, extended)
+    found = bounded_min_distance(c, effort=effort, seed=seed)
+    assert c.contains(found.witness) and found.witness.bit_count() == found.upper
+    assert found.lower <= found.upper
 
 
 def test_exact_examples():
@@ -139,35 +258,6 @@ def test_bounded_agrees_with_exact_at_small_k():
         exact = exact_min_distance(c).lower
         boxed = bounded_min_distance(c, effort=30, seed=0)
         assert boxed.lower <= exact <= boxed.upper
-
-
-def test_partitioned_scan_matches_single_pass():
-    c = _code(2, 5, (1,))
-    rows = tuple(c.generator_rows())
-    total = 1 << c.k
-    whole = _scan_range(rows, 0, total)
-    pieces = [_scan_range(rows, lo, min(lo + 7777, total)) for lo in range(0, total, 7777)]
-    best = min((w, i) for w, i, _, _ in pieces if w is not None)
-    assert (whole[0], whole[1]) == best
-    odd = min(o for _, _, _, o in pieces if o is not None)
-    assert whole[3] == odd
-    counts_whole = _count_range(rows, 0, total, c.n)
-    counts_split = [0] * (c.n + 1)
-    for lo in range(0, total, 9999):
-        part = _count_range(rows, lo, min(lo + 9999, total), c.n)
-        counts_split = [a + b for a, b in zip(counts_split, part)]
-    assert counts_whole == counts_split
-
-
-def test_worker_pool_determinism():
-    c = _code(2, 4 + 1, (1,))
-    single = exact_min_distance(c, workers=1)
-    multi = exact_min_distance(c, workers=2)
-    assert (single.lower, single.witness, single.min_odd_weight) == (
-        multi.lower, multi.witness, multi.min_odd_weight)
-    wd1 = weight_distribution(c, workers=1)
-    wd2 = weight_distribution(c, workers=2)
-    assert wd1 == wd2
 
 
 def test_certified_bound_validation():

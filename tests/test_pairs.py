@@ -207,6 +207,16 @@ def test_catalog_members_are_duadic_and_nothing_else():
             assert (s in cat) == is_duadic(spec)
 
 
+@pytest.mark.parametrize("r", range(2, 17, 2))
+def test_catalog_matches_the_filter_over_all_half_sets(r):
+    from itertools import combinations
+
+    for t in range(1, r, 2):
+        brute = [s for s in combinations(range(r), r // 2) if all((t - c) % r not in s for c in s)]
+        assert enumerate_catalog(r, t) == brute
+        assert len(brute) == 1 << (r // 2)
+
+
 def test_reflection_test_vs_bitmap_negation():
     # The O(r) reflection test always implies the Z_n splitting, and is
     # equivalent to it once every weight class is inhabited (r < m). At
