@@ -85,6 +85,35 @@ def test_transform_matches_gray_scan_at_default_constants():
     assert list(weight_distribution(c).counts) == counts
 
 
+def _results(c, low_bits, block_bits):
+    with mock.patch.object(mindist, "LOW_BITS", low_bits), mock.patch.object(mindist, "BLOCK_BITS", block_bits):
+        blocks = sum(1 for _ in mindist._weight_blocks(c))
+        found = exact_min_distance(c)
+        return blocks, (found.lower, found.witness, found.min_odd_weight), weight_distribution(c)
+
+
+def test_partitioned_scan_matches_single_pass():
+    c = _code(2, 5, (1,))  # k = 16
+    blocks, whole, wd_whole = _results(c, 16, 20)
+    assert blocks == 1
+    for low_bits, block_bits in [(12, 13), (8, 10), (4, 5), (1, 1)]:
+        blocks, split, wd_split = _results(c, low_bits, block_bits)
+        assert blocks > 1
+        assert split == whole
+        assert wd_split == wd_whole
+
+
+def test_worker_pool_determinism():
+    # the message space is divided into transform blocks rather than worker
+    # ranges; the result must not depend on the division or on the call
+    c = _code(2, 4 + 1, (1,))
+    first = _results(c, mindist.LOW_BITS, mindist.BLOCK_BITS)[1:]
+    assert _results(c, mindist.LOW_BITS, mindist.BLOCK_BITS)[1:] == first
+    for low_bits in (3, 7, 12, 16):
+        for block_bits in (low_bits, low_bits + 2, 18):
+            assert _results(c, low_bits, block_bits)[1:] == first
+
+
 # witness_low: the low 64 bits of the first minimum-weight codeword in Gray-code order
 @pytest.mark.parametrize("code, d, min_odd, witness_low", [
     ("primal", 979, 979, 0x69A99AC1722FD865), ("extended", 980, None, 0xA3ECE5605D8548A1)], ids=["primal", "extended"])
