@@ -403,7 +403,10 @@ def cmd_mindist(args):
     if c.k <= ENUM_BUDGET_K:
         bound = exact_min_distance(c)
     else:
-        bound = bounded_min_distance(c, effort=args.effort, seed=args.seed, v_candidates=v_candidates)
+        try:
+            bound = bounded_min_distance(c, effort=args.effort, seed=args.seed, v_candidates=v_candidates)
+        except ValueError as exc:  # refused by the search's memory budget
+            raise UsageError(str(exc)) from None
     payload = {
         "command": "mindist",
         "spec": _spec_json(spec),

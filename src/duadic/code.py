@@ -20,6 +20,10 @@ class CyclicCode:
     g: int
     T: DefiningSet
 
+    def generator_row(self, i):
+        """Cyclic-shift generator matrix row x^i * g."""
+        return self.g << i
+
     def generator_rows(self):
         """Cyclic-shift generator matrix rows x^i * g, 0 <= i < k."""
         return [self.g << i for i in range(self.k)]
@@ -52,6 +56,9 @@ class ExtendedCode:
     def parity_bit(self):
         # every generator row is a shift of g, so one parity serves all rows
         return self.base.g.bit_count() & 1
+
+    def generator_row(self, i):
+        return self.base.generator_row(i) | self.parity_bit << self.base.n
 
     def generator_rows(self):
         p = self.parity_bit << self.base.n

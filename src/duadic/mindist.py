@@ -3,22 +3,26 @@
 Exact distances and weight distributions come from a Walsh-Hadamard
 transform of the generator columns over the whole message space (O(k 2^k)
 additions), budgeted at k <= 24. Above the budget, a BCH certificate
-supplies the lower bound and a seeded information-set search supplies the
-upper bound.
+supplies the lower bound and a seeded information-set search (Lee-Brickell,
+messages of weight <= 3, bit-packed numpy rows) supplies the upper bound.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
-from ._bits import from_bool, to_bool
+from ._bits import to_bool
 from .bounds import best_certificate
 from .code import ExtendedCode, row_reduce
 
 ENUM_BUDGET_K = 24
 LOW_BITS = 12  # message bits per transform row
 BLOCK_BITS = 16  # at most 2^16 messages per block
+PAIR_BLOCK_WORDS = 1 << 13  # uint64 words (64 KB) per block of row pairs in the search
+ISD_MEMORY_BUDGET = 1 << 30  # bytes: generator rows plus their k x n bool matrix
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,12 @@ def weight_distribution(c):
     return WeightDistribution(n=c.n, k=c.k, counts=tuple(int(x) for x in counts))
 
 
-def _permute_columns(rows, perm, n):
-    mat = np.vstack([to_bool(row, n) for row in rows])
-    mat = mat[:, perm]
-    return [from_bool(mat[i]) for i in range(mat.shape[0])]
+def _permuted_rows(mat, perm):
+    """The rows of mat[:, perm] as ints, permuting about 1 MB of mat at a time."""
+    step = max(1, (1 << 20) // mat.shape[1])
+    return [int.from_bytes(row.tobytes(), "little")
+            for first in range(0, len(mat), step)
+            for row in np.packbits(mat[first:first + step, perm], axis=1, bitorder="little")]
 
 
 def _unpermute(word, perm):
@@ -183,25 +189,34 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
 
     Each of the `effort` trials permutes the columns, row-reduces to a
     systematic form, and scans all codewords built from messages of weight
-    at most 3. Deterministic for a fixed seed; effort 0 reports the
-    generator row itself as the upper witness.
+    at most 3. Deterministic for a fixed seed; effort 0 reports the first
+    generator row itself as the upper witness and reads no other row.
+    Raises ValueError before allocating when the k x n search matrix and
+    its rows would exceed ISD_MEMORY_BUDGET bytes.
     """
+    n, k = c.n, c.k
+    need = k * ((n + 7) // 8) + k * n
+    if effort and need > ISD_MEMORY_BUDGET:
+        raise ValueError(f"information-set search on a [{n},{k}] code needs about {need >> 20} MiB, "
+                         f"over the {ISD_MEMORY_BUDGET >> 20} MiB budget; effort 0 needs only one row")
     base = c.base if isinstance(c, ExtendedCode) else c
     cert = best_certificate(base.T, v_candidates)
     lower = cert.d_lower
     if isinstance(c, ExtendedCode):
         lower += lower & 1  # extended weights are even
 
-    rows = c.generator_rows()
-    n, k = c.n, c.k
-    best_word = rows[0]
+    best_word = c.generator_row(0)
     best_w = best_word.bit_count()
+    if effort:
+        mat = np.empty((k, n), dtype=bool)
+        for i in range(k):
+            mat[i] = to_bool(c.generator_row(i), n)
     rng = np.random.default_rng(seed)
     for _ in range(effort):
         if best_w <= lower:
             break
         perm = rng.permutation(n)
-        reduced, _ = row_reduce(_permute_columns(rows, perm, n))
+        reduced, _ = row_reduce(_permuted_rows(mat, perm))
         found = _light_messages_best(reduced)
         if found is not None and found.bit_count() < best_w:
             best_word = _unpermute(found, perm)
@@ -216,22 +231,76 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
     )
 
 
+def _pair_blocks(k, size):
+    """Runs (j, l0, l1) of the row pairs (j, l), l0 <= l < l1, in
+    combinations order, grouped into blocks of at most `size` pairs."""
+    block, used = [], 0
+    for j in range(k - 1):
+        l0 = j + 1
+        while l0 < k:
+            l1 = min(k, l0 + size - used)
+            block.append((j, l0, l1))
+            used += l1 - l0
+            l0 = l1
+            if used == size:
+                yield block
+                block, used = [], 0
+    if block:
+        yield block
+
+
 def _light_messages_best(reduced):
-    """Lightest combination of at most 3 reduced rows, deterministic order."""
-    best = None
-    best_w = None
-    for row in reduced:
-        w = row.bit_count()
-        if best_w is None or w < best_w:
-            best, best_w = row, w
-    for a, b in combinations(reduced, 2):
-        word = a ^ b
-        w = word.bit_count()
-        if w < best_w:
-            best, best_w = word, w
-    for a, b, cc in combinations(reduced, 3):
-        word = a ^ b ^ cc
-        w = word.bit_count()
-        if w < best_w:
-            best, best_w = word, w
-    return best
+    """Lightest combination of at most 3 reduced rows: the first lightest
+    word in the order rows, pairs, triples, each in combinations order.
+
+    Rows are packed word-major into a (W, k) uint64 array. Pairs (j, l) are
+    xored a block of consecutive pairs at a time, at most PAIR_BLOCK_WORDS
+    words (or one pair); for each i, the triples (i, j, l) with j > i are a
+    suffix of the block and take one xor against row i. The best candidate
+    is the minimum (weight, stage, combination), stage 1/2/3 for
+    rows/pairs/triples.
+    """
+    k = len(reduced)
+    if not k:
+        return None
+    words = max(1, -(-max(row.bit_length() for row in reduced) // 64))
+    rows = np.frombuffer(b"".join(row.to_bytes(8 * words, "little") for row in reduced), dtype="<u8")
+    rows = np.ascontiguousarray(rows.reshape(k, words).T)
+    size = max(1, PAIR_BLOCK_WORDS // words)
+    pairs, triples = np.empty((words, size), dtype=rows.dtype), np.empty((words, size), dtype=rows.dtype)
+    counts = np.empty((words, max(size, k)), dtype=np.uint8)
+    weights = np.empty(max(size, k), dtype=np.min_scalar_type(64 * words))
+
+    def lightest(block):
+        """(weight, index) of the first lightest column of block."""
+        cols = block.shape[1]
+        np.bitwise_count(block, out=counts[:, :cols])
+        np.add.reduce(counts[:, :cols], axis=0, out=weights[:cols])
+        p = int(weights[:cols].argmin())
+        return int(weights[p]), p
+
+    w, i = lightest(rows)
+    best = (w, 1, (i,))
+    for block in _pair_blocks(k, size):
+        starts, used = [], 0
+        for j, l0, l1 in block:
+            starts.append(used)
+            np.bitwise_xor(rows[:, l0:l1], rows[:, j:j + 1], out=pairs[:, used:used + l1 - l0])
+            used += l1 - l0
+
+        def pair_at(p):
+            s = bisect_right(starts, p) - 1
+            j, l0, _ = block[s]
+            return j, l0 + p - starts[s]
+
+        w, p = lightest(pairs[:, :used])
+        best = min(best, (w, 2, pair_at(p)))
+        js = [j for j, _, _ in block]
+        for i in range(block[-1][0]):
+            first = starts[bisect_right(js, i)]  # the pairs with j > i
+            out = triples[:, first:used]
+            np.bitwise_xor(pairs[:, first:used], rows[:, i:i + 1], out=out)
+            w, p = lightest(out)
+            if w <= best[0]:
+                best = min(best, (w, 3, (i, *pair_at(first + p))))
+    return reduce(xor, (reduced[i] for i in best[2]))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duadic.bounds import (
     HypothesisError,
@@ -254,3 +256,17 @@ def test_min_odd_weight_meets_sqrt_equality_at_m3():
     assert found.min_odd_weight == 3
     assert 3 * 3 - 3 + 1 == 7
     assert sqrt_bounds(7).d0_lower == found.min_odd_weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 13), st.sampled_from([2, 4, 6, 8, 16]), st.data())
+def test_ap_run_is_invariant_on_the_orbit_of_v(m, r, data):
+    # T is closed under doubling, so 2 * AP(v) is an AP(2v) in T; an AP read
+    # backwards is an AP(-v). The longest run is therefore the same for v, 2v, -v.
+    s = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=r - 1, unique=True))
+    t = defining_set(WeightClassSpec(r=r, m=m, S=tuple(s), unchecked=True))
+    n = t.n
+    v = data.draw(st.integers(1, n - 1).filter(lambda v: math.gcd(v, n) == 1))
+    run = max_ap_run(t, v).run_length
+    assert max_ap_run(t, 2 * v % n).run_length == run
+    assert max_ap_run(t, -v % n).run_length == run

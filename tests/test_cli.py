@@ -6,9 +6,9 @@ import os
 import pytest
 
 from duadic import cli, gf2poly
-from duadic.bounds import max_ap_run
+from duadic.bounds import best_certificate, max_ap_run
 from duadic.cli import _catalog_rows, main
-from duadic.code import dual, from_defining_set
+from duadic.code import CyclicCode, dual, from_defining_set
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
 
@@ -221,6 +221,29 @@ def test_mindist_bounded_above_budget(capsys):
     assert bound["method"] == "bch+information-set"
     assert bound["lower"] == 9 and bound["upper"] >= 9
     assert bound["seed"] == 11 and bound["effort"] == 5
+
+
+def _rows_must_not_be_read(self, *args):
+    raise AssertionError("generator rows were read")
+
+
+def test_mindist_search_over_the_memory_budget_is_refused(capsys, monkeypatch):
+    # [131071, 65536]: the search's rows and bool matrix would take about 9 GiB
+    monkeypatch.setattr(CyclicCode, "generator_row", _rows_must_not_be_read)
+    monkeypatch.setattr(CyclicCode, "generator_rows", _rows_must_not_be_read)
+    code, out, err = run_cli(capsys, "mindist", "-r", "2", "-m", "17", "-S", "1", "--effort", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_mindist_effort_zero_reads_one_generator_row(capsys, monkeypatch):
+    c = from_defining_set(field(17), defining_set(WeightClassSpec(r=2, m=17, S=(1,))))
+    monkeypatch.setattr(CyclicCode, "generator_rows", _rows_must_not_be_read)
+    code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "17", "-S", "1", "--effort", "0")
+    assert code == 0
+    bound = payload["bound"]
+    assert (bound["lower"], bound["upper"]) == (best_certificate(c.T).d_lower, c.g.bit_count())
+    assert bound["witness_hex"] == f"{c.g:#x}"
 
 
 def test_json_output_is_deterministic(capsys):

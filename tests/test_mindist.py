@@ -1,13 +1,15 @@
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duadic import mindist
-from duadic.code import dual, extend, from_defining_set, rank
+from duadic.code import dual, extend, from_defining_set, rank, row_reduce
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
 from duadic.mindist import (
@@ -160,12 +162,90 @@ def test_exact_witness_is_a_codeword(spec, extended):
 
 
 @settings(max_examples=30, deadline=None)
-@given(_small_k_specs(max_k=40), st.booleans(), st.integers(0, 3), st.integers(0, 2**32))
+@given(_small_k_specs(max_k=128), st.booleans(), st.integers(0, 3), st.integers(0, 2**32))
 def test_bounded_witness_is_a_codeword(spec, extended, effort, seed):
     c = _spec_code(spec, extended)
     found = bounded_min_distance(c, effort=effort, seed=seed)
     assert c.contains(found.witness) and found.witness.bit_count() == found.upper
     assert found.lower <= found.upper
+
+
+def _light_messages_reference(reduced):
+    """Reference: the lightest combination of at most 3 rows by Python
+    big-int xors, the first lightest in the order rows, pairs, triples."""
+    best = None
+    best_w = None
+    for row in reduced:
+        w = row.bit_count()
+        if best_w is None or w < best_w:
+            best, best_w = row, w
+    for a, b in combinations(reduced, 2):
+        word = a ^ b
+        w = word.bit_count()
+        if w < best_w:
+            best, best_w = word, w
+    for a, b, cc in combinations(reduced, 3):
+        word = a ^ b ^ cc
+        w = word.bit_count()
+        if w < best_w:
+            best, best_w = word, w
+    return best
+
+
+@st.composite
+def _row_lists(draw):
+    """At most 48 rows of n <= 200 bits. Planted rows, pairs and triples xor
+    to distinct words of one weight <= 3, so combinations of every stage tie
+    for the lightest; zero rows and repeated rows are mixed in."""
+    n = draw(st.integers(1, 200))
+    word = st.integers(0, (1 << n) - 1)
+    weight = draw(st.integers(1, min(3, n)))
+    light = st.sets(st.integers(0, n - 1), min_size=weight, max_size=weight).map(lambda bits: sum(1 << b for b in bits))
+    rows = draw(st.lists(word, max_size=30))
+    for size in draw(st.lists(st.integers(1, 3), max_size=5)):
+        x, y, e = draw(word), draw(word), draw(light)
+        rows += [[e], [x, x ^ e], [x, y, x ^ y ^ e]][size - 1]
+    rows += draw(st.lists(st.one_of(st.just(0), st.sampled_from(rows or [0])), max_size=3))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lists(), st.sampled_from([1, 7, 1 << 13]))
+def test_light_messages_match_reference(rows, block_words):
+    with mock.patch.object(mindist, "PAIR_BLOCK_WORDS", block_words):
+        assert mindist._light_messages_best(rows) == _light_messages_reference(rows)
+
+
+@pytest.mark.parametrize("r, m, S", [(2, 3, (1,)), (2, 5, (1,)), (2, 7, (1,))])
+def test_light_messages_match_reference_on_search_trials(r, m, S):
+    c = _code(r, m, S)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        perm = rng.permutation(c.n)
+        permuted = [sum(((row >> int(p)) & 1) << j for j, p in enumerate(perm)) for row in c.generator_rows()]
+        reduced, _ = row_reduce(permuted)
+        assert mindist._light_messages_best(reduced) == _light_messages_reference(reduced)
+
+
+# (lower, upper, witness) as found by the Python-loop scan
+_M9_WITNESS = int(
+    "4c000000040124024000801804110006810246820802022888810303281000120192504c42010800500008a200e840e109000a000010042"
+    "000000110802722f0", 16)
+
+
+@pytest.mark.parametrize("r, m, S, extended, effort, seed, lower, upper, witness", [
+    (2, 7, (1,), False, 20, 7, 9, 19, 0x1C021004000810430600002015804000),
+    (2, 7, (1,), False, 200, 1, 9, 19, 0x4000810430600002015804000380420),
+    (8, 9, (0, 2, 3, 4), False, 1, 1, 19, 91, _M9_WITNESS),
+    (2, 7, (1,), True, 5, 3, 10, 20, 0x8060000E22801188000502000050108),
+], ids=["m7-effort20-seed7", "m7-effort200-seed1", "m9-effort1-seed1", "m7-extended-effort5-seed3"])
+def test_bounded_search_golden(r, m, S, extended, effort, seed, lower, upper, witness):
+    c = _code(r, m, S)
+    if extended:
+        c = extend(c)
+    found = bounded_min_distance(c, effort=effort, seed=seed)
+    assert (found.lower, found.upper, found.witness) == (lower, upper, witness)
+    assert c.contains(witness) and witness.bit_count() == upper
 
 
 def test_exact_examples():
@@ -270,6 +350,16 @@ def test_bounded_search_is_deterministic_and_sound():
     assert a.seed == 7 and a.effort == 20
     better = bounded_min_distance(c, effort=40, seed=1)
     assert better.upper <= c.g.bit_count()
+
+
+def test_bounded_search_memory_admission():
+    c = _code(2, 7, (1,))  # rows plus bool matrix: 64 * 16 + 64 * 127 = 9152 bytes
+    with mock.patch.object(mindist, "ISD_MEMORY_BUDGET", 9151):
+        with pytest.raises(ValueError, match="budget"):
+            bounded_min_distance(c, effort=1)
+        assert bounded_min_distance(c, effort=0).upper == c.g.bit_count()
+    with mock.patch.object(mindist, "ISD_MEMORY_BUDGET", 9152):
+        assert bounded_min_distance(c, effort=1).upper < c.g.bit_count()
 
 
 def test_bounded_on_extended_rounds_lower_to_even():
