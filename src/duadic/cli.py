@@ -13,11 +13,10 @@ import math
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 from . import gf2poly
 from .bounds import LEMMA_IDS, SIDES, HypothesisError, best_certificate, lemma_window, verify_lemma_membership
-from .code import dual, extend, from_defining_set, is_doubly_even, is_self_dual
+from .code import dual, extend, from_class_polys, from_defining_set, is_doubly_even, is_self_dual
 from .cyclotomic import WeightClassSpec, complement_spec, defining_set
 from .gf2m import field
 from .mindist import ENUM_BUDGET_K, bounded_min_distance, exact_min_distance
@@ -137,13 +136,12 @@ def _spec_json(spec):
 _Analysis = namedtuple("_Analysis", "code verdict cert dual dual_cert ext duadic self_dual doubly_even")
 
 
-def _analyze(spec, v_candidates):
-    """Build the code of a spec and derive all its reported facts, once."""
-    fld = field(spec.m)
-    t_set = defining_set(spec)
-    c = from_defining_set(fld, t_set)
+def _analyze(spec, v_candidates, polys):
+    """Build the code of a spec from the class polynomials `polys` of its
+    (m, r) and derive all its reported facts, once."""
+    c = from_class_polys(field(spec.m), spec, polys)
     verdict = classify(spec)
-    cert = best_certificate(t_set, v_candidates)
+    cert = best_certificate(c.T, v_candidates)
     d = dual(c)
     dual_cert = best_certificate(d.T, v_candidates)
     e = extend(c)
@@ -237,9 +235,9 @@ def _yn(b):
 def cmd_construct(args):
     spec = _make_spec(args.r, args.m, args.S, args.unchecked)
     v_candidates = _parse_v_candidates(args.v, spec.n)
-    report = _construct_report(spec, _analyze(spec, v_candidates))
+    report = _construct_report(spec, _analyze(spec, v_candidates, gf2poly.class_polys(field(spec.m), spec.r)))
     payload = {"command": "construct", "report": report}
-    return 0, payload, [_construct_row(report)], CONSTRUCT_COLUMNS, _construct_text(report)
+    return 0, payload, [_construct_row(report)], CONSTRUCT_COLUMNS, lambda: _construct_text(report)
 
 
 def _catalog_rows(r, t):
@@ -287,22 +285,22 @@ def cmd_catalog(args):
         "rows": rows,
         "notes": notes,
     }
-    text = _render_table(CATALOG_COLUMNS, rows)
-    text += f"\ncount: {len(rows)}"
-    for note in notes:
-        text += f"\nnote: {note}"
+
+    def text():
+        lines = [_render_table(CATALOG_COLUMNS, rows), f"count: {len(rows)}"]
+        return "\n".join(lines + [f"note: {note}" for note in notes])
+
     return exit_code, payload, rows, CATALOG_COLUMNS, text
 
 
 def _table_row(task):
-    r, m, s, unchecked, v_candidates, error = task  # error: why the catalog for m failed, else None
+    r, m, s, error, spec, polys, v_candidates = task  # error: why this row has no spec, else None
     base = {col: None for col in TABLE_COLUMNS}
     base.update({"r": r, "m": m, "S": _fmt_seq(s), "error": error})
     if error is not None:
         return base
     try:
-        spec = WeightClassSpec(r=r, m=m, S=s, unchecked=unchecked)
-        a = _analyze(spec, v_candidates)
+        a = _analyze(spec, v_candidates, polys)
         c, d, e = a.code, a.dual, a.ext
         base.update({
             "n": c.n, "k": c.k, "duadic": a.duadic,
@@ -322,9 +320,27 @@ def _table_row(task):
             base["ext_exact_d"] = ext_found.lower
         if d.k <= ENUM_BUDGET_K:
             base["dual_exact_d"] = exact_min_distance(d).lower
-    except ValueError as exc:  # invalid specs and zero codes are reported inline; invariant failures escape
+    except ValueError as exc:  # zero codes are reported inline; invariant failures escape
         base["error"] = str(exc)
     return base
+
+
+def _table_specs(r, m, s_text, unchecked):
+    """(S, spec, error) for each table row at one m; spec is None when error says why."""
+    if s_text.strip().lower() == "all":
+        try:
+            sets = enumerate_catalog(r, m % r)
+        except ValueError as exc:
+            return [((), None, str(exc))]
+    else:
+        sets = [_parse_residues(s_text, r)]
+    out = []
+    for s in sets:
+        try:
+            out.append((s, WeightClassSpec(r=r, m=m, S=s, unchecked=unchecked), None))
+        except ValueError as exc:  # invalid specs are reported inline
+            out.append((s, None, str(exc)))
+    return out
 
 
 def cmd_table(args):
@@ -332,23 +348,20 @@ def cmd_table(args):
     tasks = []
     for m in m_list:
         v_candidates = _parse_v_candidates(args.v, (1 << m) - 1)
-        if args.S.strip().lower() == "all":
-            try:
-                sets = enumerate_catalog(args.r, m % args.r)
-            except ValueError as exc:
-                tasks.append((args.r, m, (), args.unchecked, None, str(exc)))
-                continue
-            tasks.extend((args.r, m, s, args.unchecked, v_candidates, None) for s in sets)
-        else:
-            tasks.append((args.r, m, _parse_residues(args.S, args.r), args.unchecked, v_candidates, None))
+        specs = _table_specs(args.r, m, args.S, args.unchecked)
+        # built once per m and shared by its rows (also across worker processes)
+        polys = gf2poly.class_polys(field(m), args.r) if any(spec is not None for _, spec, _ in specs) else None
+        tasks.extend((args.r, m, s, error, spec, polys, v_candidates) for s, spec, error in specs)
     workers = _workers()
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: every other command skips its cost
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_table_row, tasks))
     else:
         rows = [_table_row(t) for t in tasks]
     payload = {"command": "table", "r": args.r, "S": args.S, "m_list": m_list, "rows": rows}
-    return 0, payload, rows, TABLE_COLUMNS, _render_table(TABLE_COLUMNS, rows)
+    return 0, payload, rows, TABLE_COLUMNS, lambda: _render_table(TABLE_COLUMNS, rows)
 
 
 def cmd_verify_lemmas(args):
@@ -381,9 +394,12 @@ def cmd_verify_lemmas(args):
         "command": "verify-lemmas", "r": args.r, "m_list": m_list,
         "rows": rows, "failures": failures,
     }
-    checked = sum(1 for row in rows if row["status"] != "skip")
-    text = _render_table(LEMMA_COLUMNS, rows)
-    text += f"\nchecked: {checked}, failures: {failures}, skipped: {len(rows) - checked}"
+
+    def text():
+        checked = sum(1 for row in rows if row["status"] != "skip")
+        summary = f"checked: {checked}, failures: {failures}, skipped: {len(rows) - checked}"
+        return _render_table(LEMMA_COLUMNS, rows) + "\n" + summary
+
     return (1 if failures else 0), payload, rows, LEMMA_COLUMNS, text
 
 
@@ -428,7 +444,7 @@ def cmd_mindist(args):
     )
     if bound.min_odd_weight is not None:
         text += f", min odd weight {bound.min_odd_weight}"
-    return 0, payload, [row], MINDIST_COLUMNS, text
+    return 0, payload, [row], MINDIST_COLUMNS, lambda: text
 
 
 def _render_table(columns, rows):
@@ -443,6 +459,8 @@ def _render_table(columns, rows):
 
 
 def _emit(args, payload, rows, columns, text):
+    """Write one command's result in the requested format; text is a
+    callable, so the text rendering runs only for --format text."""
     fmt = args.format
     if fmt == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -456,7 +474,7 @@ def _emit(args, payload, rows, columns, text):
             writer.writerow(["" if row.get(c) is None else row.get(c) for c in columns])
         body = buf.getvalue()
     else:
-        body = text + "\n"
+        body = text() + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -4,21 +4,27 @@ and the structural predicates (self-dual, doubly-even, even-weight subcode).
 Codewords and matrix rows are int bitvectors, bit i = coordinate c_i.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 from . import gf2poly
-from .cyclotomic import DefiningSet
+from .cyclotomic import DefiningSet, defining_set
 
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """[n, k] binary cyclic code with generator g and root-exponent set T."""
+    """[n, k] binary cyclic code with generator g and root-exponent set T.
+
+    h is the check polynomial (x^n + 1) / g when the builder already has it,
+    else None; `dual` verifies it either way.
+    """
 
     field: object
     n: int
     k: int
     g: int
     T: DefiningSet
+    h: int | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def generator_row(self, i):
         """Cyclic-shift generator matrix row x^i * g."""
@@ -83,14 +89,34 @@ def from_defining_set(fld, T):
     return CyclicCode(field=fld, n=T.n, k=k, g=g, T=T)
 
 
+def from_class_polys(fld, spec, polys):
+    """The code of a weight-class spec, with its check polynomial, from the
+    class polynomials `polys` = gf2poly.class_polys(fld, spec.r).
+
+    T_S is the disjoint union of the classes W_c, c in S, and Z_n \\ T_S is
+    {0} together with T_{Z_r \\ S}, so g = prod_{c in S} P_c and
+    h = (x + 1) prod_{c not in S} P_c.
+    """
+    # the classes partition 1..n-1, so the degrees of their polynomials sum to n - 1
+    if fld.m != spec.m or len(polys) != spec.r or sum(map(gf2poly.degree, polys)) != spec.n - 1:
+        raise ValueError(f"class polynomials do not belong to m={spec.m}, r={spec.r}")
+    T = defining_set(spec)
+    g = gf2poly.product([polys[c] for c in spec.S])
+    if gf2poly.degree(g) != T.size:
+        raise AssertionError("generator degree disagrees with the defining set")
+    h = gf2poly.product([0b11] + [p for c, p in enumerate(polys) if c not in spec.S])
+    return CyclicCode(field=fld, n=T.n, k=T.n - T.size, g=g, T=T, h=h)
+
+
 def dual(code):
     """The dual code: generated by the reciprocal of the check polynomial,
     with defining set Z_n \\ (-T).
 
-    The check polynomial h is built from the complementary cosets, and
-    g * h = x^n + 1 is then verified as an independent invariant.
+    The check polynomial h is the code's own, or else it is built from the
+    complementary cosets; either way g * h = x^n + 1 is verified as an
+    independent invariant.
     """
-    h = gf2poly.generator_poly(code.field, code.T.complement())
+    h = code.h if code.h is not None else gf2poly.generator_poly(code.field, code.T.complement())
     if gf2poly.mul(code.g, h) != gf2poly.x_pow_plus_one(code.n):
         raise AssertionError("generator times check polynomial is not x^n + 1")
     g_dual = gf2poly.reciprocal(h)
@@ -154,23 +180,13 @@ def row_reduce(rows):
     pivots = []
     reduced = []
     while rows:
-        best = max(range(len(rows)), key=lambda i: rows[i].bit_length())
-        piv_row = rows.pop(best)
+        piv_row = max(rows)  # the numerically largest row has the highest leading bit
         if piv_row == 0:
             break
+        rows.remove(piv_row)
         p = piv_row.bit_length() - 1
         rows = [row ^ piv_row if (row >> p) & 1 else row for row in rows]
         reduced = [row ^ piv_row if (row >> p) & 1 else row for row in reduced]
         reduced.append(piv_row)
         pivots.append(p)
     return reduced, pivots
-
-
-def rank(rows):
-    return len(row_reduce(rows)[0])
-
-
-def matrix_product_is_zero(rows_a, rows_b):
-    """Explicit A * B^T = 0 over GF(2); the small-scale oracle for the
-    lag-based self-orthogonality shortcut."""
-    return all((ra & rb).bit_count() % 2 == 0 for ra in rows_a for rb in rows_b)

@@ -214,6 +214,12 @@ def _weight_class_bitmaps(m, r):
     return tuple(masks)
 
 
+def weight_classes(m, r):
+    """The classes W_c = {1 <= j <= n-1 : w_2(j) = c mod r} as DefiningSets, c in Z_r."""
+    n = (1 << m) - 1
+    return [DefiningSet(n=n, bits=bits) for bits in _weight_class_bitmaps(m, r)]
+
+
 def defining_set(spec):
     """T = {1 <= j <= n-1 : w_2(j) mod r in S}, as a DefiningSet."""
     masks = _weight_class_bitmaps(spec.m, spec.r)

@@ -8,6 +8,12 @@ O(n log^2 n) rather than O(n^2):
 - The minimal polynomials of all cosets of a field are expanded together
   in one vectorised pass and kept per field (`_minimal_poly_table`).
 - `generator_poly` multiplies them through a balanced product tree.
+- The code of a weight-class spec (r, m, S) needs no per-coset product.
+  T_S is the disjoint union of the classes W_c, c in S, and Z_n \\ T_S
+  is {0} together with T_{Z_r \\ S}. So `class_polys` builds the r class
+  polynomials P_c of a field once, and then g = prod_{c in S} P_c and the
+  check polynomial h = (x + 1) prod_{c not in S} P_c are each one `product`
+  of at most r factors (`code.from_class_polys`).
 - `mul` picks its method by operand size alone. Shift-xor costs one
   big-int shift and xor per set bit of the sparser operand: quadratic, but
   with no fixed cost, so below FFT_MIN_BITS it beats the transform. That
@@ -31,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._bits import from_bool, to_bool
-from .cyclotomic import DefiningSet, coset
+from .cyclotomic import DefiningSet, coset, weight_classes
 
 NEG_INF = float("-inf")
 
@@ -144,35 +150,6 @@ def x_pow_plus_one(n):
     return (1 << n) | 1
 
 
-def evaluate(fld, p, x):
-    """Horner evaluation of p at the field element x."""
-    acc = 0
-    for d in range(p.bit_length() - 1, -1, -1):
-        acc = fld.mul(acc, x) ^ ((p >> d) & 1)
-    return acc
-
-
-def eval_at_powers(fld, p, exponents=None):
-    """Evaluate p at alpha^e for each exponent e, vectorized over all points.
-
-    Returns a uint32 array of field elements; exponents defaults to all of Z_n.
-    """
-    n = fld.n
-    if exponents is None:
-        exponents = np.arange(n, dtype=np.int64)
-    else:
-        exponents = np.asarray(exponents, dtype=np.int64) % n
-    antilog = fld.antilog_table
-    log = fld.log_table
-    acc = np.zeros(len(exponents), dtype=np.uint32)
-    for d in range(p.bit_length() - 1, -1, -1):
-        nz = acc != 0
-        acc[nz] = antilog[(log[acc[nz]].astype(np.int64) + exponents[nz]) % n]
-        if (p >> d) & 1:
-            acc ^= 1
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _minimal_poly_table(fld):
     """Minimal polynomial of alpha^j for every j in Z_n, as uint32 bitmasks.
@@ -238,7 +215,7 @@ def minimal_poly(fld, cs):
     return p
 
 
-def _product(polys):
+def product(polys):
     """Product of a list of polynomials through a balanced binary tree.
 
     Runs of small factors are first folded left to right up to
@@ -263,7 +240,13 @@ def generator_poly(fld, T):
     """Product of the minimal polynomials of the cosets in T; deg = |T|."""
     if T.n != fld.n:
         raise ValueError(f"defining set mod {T.n} does not match field of order {fld.n + 1}")
-    return _product([minimal_poly(fld, coset(leader, fld.n)) for leader in T.coset_leaders()])
+    return product([minimal_poly(fld, coset(leader, fld.n)) for leader in T.coset_leaders()])
+
+
+def class_polys(fld, r):
+    """The class polynomials P_c = prod_{j in W_c} (x - alpha^j), c in Z_r,
+    where W_c = {1 <= j <= n-1 : w_2(j) = c mod r}; an empty class gives 1."""
+    return tuple(generator_poly(fld, w) for w in weight_classes(fld.m, r))
 
 
 def check_poly(g, n):

@@ -190,6 +190,22 @@ def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
+    calls = []
+    generator_poly = gf2poly.generator_poly
+
+    def counted(fld, T):
+        calls.append(T)
+        return generator_poly(fld, T)
+
+    monkeypatch.delenv("DUADIC_THREADS", raising=False)
+    monkeypatch.setattr(gf2poly, "generator_poly", counted)
+    code, payload, _ = run_json(capsys, "table", "-r", "16", "-S", "all", "-m", "9")
+    assert code == 0 and len(payload["rows"]) == 256
+    assert all(row["error"] is None for row in payload["rows"])
+    assert len(calls) == 16  # one per weight class, shared by all 256 rows
+
+
 def test_verify_lemmas(capsys):
     code, payload, _ = run_json(capsys, "verify-lemmas", "-r", "8", "-m", "9,11")
     assert code == 0 and payload["failures"] == 0

@@ -1,22 +1,26 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duadic.code import (
     dual,
     extend,
+    from_class_polys,
     from_defining_set,
     is_doubly_even,
     is_even_weight_subcode,
     is_self_dual,
-    matrix_product_is_zero,
-    rank,
     row_reduce,
 )
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
-from duadic.gf2poly import eval_at_powers
+from duadic.gf2poly import class_polys, generator_poly
 from duadic.pairs import enumerate_catalog
+
+from _oracles import eval_at_powers, matrix_product_is_zero, rank
 
 
 def _code(r, m, S):
@@ -61,6 +65,39 @@ def test_dual_example():
     assert dual(d).T == c.T
     assert matrix_product_is_zero(c.generator_rows(), d.generator_rows())
     assert rank(c.generator_rows()) + rank(d.generator_rows()) == c.n
+
+
+@st.composite
+def _unchecked_specs(draw):
+    m = draw(st.integers(2, 13))
+    r = draw(st.sampled_from(range(2, 17, 2)))
+    s = draw(st.lists(st.integers(0, r - 1), max_size=r - 1, unique=True))
+    return WeightClassSpec(r=r, m=m, S=tuple(s), unchecked=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unchecked_specs())
+def test_class_route_matches_the_generic_route(spec):
+    fld = field(spec.m)
+    t_set = defining_set(spec)
+    c = from_class_polys(fld, spec, class_polys(fld, spec.r))
+    assert c.g == generator_poly(fld, t_set)
+    assert (c.k, c.T) == (spec.n - t_set.size, t_set)
+    d, d_generic = dual(c), dual(from_defining_set(fld, t_set))
+    assert (d.g, d.k, d.T) == (d_generic.g, d_generic.k, d_generic.T)
+
+
+def test_class_route_check_polynomial_is_verified():
+    spec = WeightClassSpec(r=8, m=9, S=(0, 2, 3, 4))
+    fld = field(spec.m)
+    polys = class_polys(fld, spec.r)
+    c = from_class_polys(fld, spec, polys)
+    with pytest.raises(AssertionError, match="x\\^n \\+ 1"):
+        dual(replace(c, h=c.h ^ 0b10))
+    with pytest.raises(ValueError, match="class polynomials"):
+        from_class_polys(field(11), replace(spec, m=11), polys)
+    with pytest.raises(ValueError, match="class polynomials"):
+        from_class_polys(fld, spec, polys[:4])
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duadic import mindist
-from duadic.code import dual, extend, from_defining_set, rank, row_reduce
+from duadic.code import dual, extend, from_defining_set, row_reduce
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
 from duadic.mindist import (
@@ -19,6 +19,8 @@ from duadic.mindist import (
     weight_distribution,
 )
 from duadic.pairs import complement_spec, enumerate_catalog
+
+from _oracles import rank
 
 
 def _code(r, m, S, unchecked=False):
