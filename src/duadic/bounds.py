@@ -1,6 +1,10 @@
 """BCH-bound certification for defining sets, direct verification of the
 run-membership lemmas L3-L6, and the square-root-style floors on the
 minimum odd weight of an odd-like duadic pair.
+
+This module is the one source of the lemma hypotheses (excluded t, r > 2
+for L3, the anchor residues of S and S'): `lemma_hypothesis_failure`
+states them, and the theorem classifier in `pairs` asks it.
 """
 
 import math
@@ -171,26 +175,33 @@ def lemma_window(which, m, r, side):
     return v, b
 
 
+def lemma_hypothesis_failure(which, r, t, S):
+    """The first failed hypothesis of lemma `which` for the half-set S at
+    t = m mod r, as a message, or None when all hold."""
+    if t == _EXCLUDED_T[which]:
+        return f"{which} requires t != {_EXCLUDED_T[which]}; spec has t = m mod r = {t}"
+    if which == "L3" and r <= 2:
+        return "L3 requires r > 2"
+    s_req, comp_req = _anchor_sets(which, r, t)
+    s_set = set(S)
+    missing = sorted(s_req - s_set)
+    if missing:
+        return f"{which} requires S to contain {sorted(s_req)}; missing {missing}"
+    missing = sorted(comp_req & s_set)
+    if missing:
+        return f"{which} requires S' to contain {sorted(comp_req)}; missing {missing}"
+    return None
+
+
 def check_lemma_hypotheses(spec, which):
     """Raise HypothesisError naming the first failed condition, if any."""
     if which not in LEMMA_IDS:
         raise ValueError(f"unknown lemma {which!r}")
     if spec.unchecked:
         raise HypothesisError("lemmas require a checked spec (odd m, |S| = r/2)")
-    t = spec.t
-    if t == _EXCLUDED_T[which]:
-        raise HypothesisError(f"{which} requires t != {_EXCLUDED_T[which]}; spec has t = m mod r = {t}")
-    if which == "L3" and spec.r <= 2:
-        raise HypothesisError("L3 requires r > 2")
-    s_req, comp_req = _anchor_sets(which, spec.r, t)
-    s_set = set(spec.S)
-    missing = sorted(s_req - s_set)
-    if missing:
-        raise HypothesisError(f"{which} requires S to contain {sorted(s_req)}; missing {missing}")
-    comp = set(range(spec.r)) - s_set
-    missing = sorted(comp_req - comp)
-    if missing:
-        raise HypothesisError(f"{which} requires S' to contain {sorted(comp_req)}; missing {missing}")
+    failure = lemma_hypothesis_failure(which, spec.r, spec.t, spec.S)
+    if failure:
+        raise HypothesisError(failure)
 
 
 def verify_lemma_membership(spec, which, side="S"):

@@ -172,24 +172,20 @@ def _construct_report(spec, a):
     }
 
 
-def _construct_row(report):
-    spec, verdict, cert = report["spec"], report["theorem"], report["bch"]
+def _analysis_row(spec, a):
+    """The flat columns of one analysed spec, shared by construct and table."""
+    c, d, e, verdict = a.code, a.dual, a.ext, a.verdict
     return {
-        "r": spec["r"], "m": spec["m"], "S": _fmt_seq(spec["S"]), "t": spec["t"],
-        "unchecked": spec["unchecked"], "n": report["n"], "k": report["k"],
-        "duadic": report["duadic"], "theorem": verdict["theorem"],
-        "residue_case": verdict["residue_case"],
-        "predicted_d_lower": verdict["d_lower"],
-        "predicted_d_dual_lower": verdict["d_dual_lower"],
-        "predicted_d_ext_lower": verdict["d_ext_lower"],
-        "certified_d_lower": cert["d_lower"], "bch_v": cert["v"], "bch_l": cert["l"],
-        "bch_run_length": cert["run_length"],
-        "dual_k": report["dual"]["k"],
-        "dual_certified_d_lower": report["dual"]["bch"]["d_lower"],
-        "ext_n": report["extended"]["n"], "ext_k": report["extended"]["k"],
-        "self_dual": report["extended"]["self_dual"],
-        "doubly_even": report["extended"]["doubly_even"],
-        "generator_hex": report["generator_hex"],
+        "r": spec.r, "m": spec.m, "S": _fmt_seq(spec.S), "t": spec.t,
+        "unchecked": spec.unchecked, "n": c.n, "k": c.k, "duadic": a.duadic,
+        "theorem": verdict.theorem, "residue_case": verdict.residue_case,
+        "predicted_d_lower": verdict.d_lower,
+        "predicted_d_dual_lower": verdict.d_dual_lower,
+        "predicted_d_ext_lower": verdict.d_ext_lower,
+        "certified_d_lower": a.cert.d_lower, "bch_v": a.cert.v, "bch_l": a.cert.start,
+        "bch_run_length": a.cert.run_length,
+        "dual_k": d.k, "dual_certified_d_lower": a.dual_cert.d_lower,
+        "ext_n": e.n, "ext_k": e.k, "self_dual": a.self_dual, "doubly_even": a.doubly_even,
     }
 
 
@@ -235,22 +231,24 @@ def _yn(b):
 def cmd_construct(args):
     spec = _make_spec(args.r, args.m, args.S, args.unchecked)
     v_candidates = _parse_v_candidates(args.v, spec.n)
-    report = _construct_report(spec, _analyze(spec, v_candidates, gf2poly.class_polys(field(spec.m), spec.r)))
+    a = _analyze(spec, v_candidates, gf2poly.class_polys(field(spec.m), spec.r))
+    report = _construct_report(spec, a)
+    row = {**_analysis_row(spec, a), "generator_hex": report["generator_hex"]}
     payload = {"command": "construct", "report": report}
-    return 0, payload, [_construct_row(report)], CONSTRUCT_COLUMNS, lambda: _construct_text(report)
+    return 0, payload, [row], CONSTRUCT_COLUMNS, lambda: _construct_text(report)
 
 
 def _catalog_rows(r, t):
     rows = []
     m_probe = t if t >= 3 else t + r  # smallest valid odd m with m = t mod r
     for s in enumerate_catalog(r, t):
-        comp = tuple(c for c in range(r) if c not in set(s))
-        verdict = classify(WeightClassSpec(r=r, m=m_probe, S=s))
+        spec = WeightClassSpec(r=r, m=m_probe, S=s)
+        verdict = classify(spec)
         lemma = _THEOREM_LEMMA.get(verdict.theorem)
         # the theorem's bound d >= run + 1 = 2^((m-1)/2) + offset, for m = t and m = t + r (mod 2r)
         offs = lemma and [lemma_window(lemma, m, r, "S")[1] + 1 - (1 << ((m - 1) // 2)) for m in (t, t + r)]
         rows.append({
-            "r": r, "t": t, "S": _fmt_seq(s), "S_complement": _fmt_seq(comp),
+            "r": r, "t": t, "S": _fmt_seq(s), "S_complement": _fmt_seq(complement_spec(spec).S),
             "theorem": verdict.theorem,
             "d_offset_case_t": offs[0] if offs else None,
             "d_offset_case_t_plus_r": offs[1] if offs else None,
@@ -301,25 +299,14 @@ def _table_row(task):
         return base
     try:
         a = _analyze(spec, v_candidates, polys)
-        c, d, e = a.code, a.dual, a.ext
-        base.update({
-            "n": c.n, "k": c.k, "duadic": a.duadic,
-            "theorem": a.verdict.theorem, "residue_case": a.verdict.residue_case,
-            "predicted_d_lower": a.verdict.d_lower,
-            "certified_d_lower": a.cert.d_lower,
-            "dual_k": d.k, "dual_certified_d_lower": a.dual_cert.d_lower,
-            "ext_n": e.n, "ext_k": e.k,
-            "predicted_d_ext_lower": a.verdict.d_ext_lower,
-            "self_dual": a.self_dual, "doubly_even": a.doubly_even,
-        })
-        if c.k <= ENUM_BUDGET_K:
-            found = exact_min_distance(c)
+        base.update((col, val) for col, val in _analysis_row(spec, a).items() if col in base)
+        if a.code.k <= ENUM_BUDGET_K:
+            found = exact_min_distance(a.code)
             base["exact_d"] = found.lower
             base["min_odd_weight"] = found.min_odd_weight
-            ext_found = exact_min_distance(e)
-            base["ext_exact_d"] = ext_found.lower
-        if d.k <= ENUM_BUDGET_K:
-            base["dual_exact_d"] = exact_min_distance(d).lower
+            base["ext_exact_d"] = exact_min_distance(a.ext).lower
+        if a.dual.k <= ENUM_BUDGET_K:
+            base["dual_exact_d"] = exact_min_distance(a.dual).lower
     except ValueError as exc:  # zero codes are reported inline; invariant failures escape
         base["error"] = str(exc)
     return base
@@ -485,10 +472,9 @@ def _emit(args, payload, rows, columns, text):
         sys.stdout.write(body)
 
 
-def _add_common(sub, *, fmt=True):
-    if fmt:
-        sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+def _add_common(sub):
+    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
 def build_parser():

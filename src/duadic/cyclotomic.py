@@ -196,7 +196,8 @@ class WeightClassSpec:
 
 def complement_spec(spec):
     """The spec for S' = Z_r \\ S (the other half of a would-be splitting)."""
-    comp = tuple(c for c in range(spec.r) if c not in set(spec.S))
+    s = set(spec.S)
+    comp = tuple(c for c in range(spec.r) if c not in s)
     return WeightClassSpec(r=spec.r, m=spec.m, S=comp, unchecked=spec.unchecked)
 
 

@@ -12,29 +12,20 @@ import numpy as np
 M_MIN = 2
 M_MAX = 20
 
-# Prime factors of 2^m - 1 for every supported degree, so the order of x can
-# be checked exactly (x is primitive iff x^n = 1 and x^(n/p) != 1 for all p).
-ORDER_FACTORS = {
-    2: (3,),
-    3: (7,),
-    4: (3, 5),
-    5: (31,),
-    6: (3, 7),
-    7: (127,),
-    8: (3, 5, 17),
-    9: (7, 73),
-    10: (3, 11, 31),
-    11: (23, 89),
-    12: (3, 5, 7, 13),
-    13: (8191,),
-    14: (3, 43, 127),
-    15: (7, 31, 151),
-    16: (3, 5, 17, 257),
-    17: (131071,),
-    18: (3, 7, 19, 73),
-    19: (524287,),
-    20: (3, 5, 11, 31, 41),
-}
+
+def _prime_factors(n):
+    """Distinct prime factors of n by trial division (n < 2^20 here)."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def _mulmod(a, b, modulus, m):
@@ -62,9 +53,10 @@ def _x_order_is_full(modulus, m):
             e >>= 1
         return r
 
+    # x is primitive iff x^n = 1 and x^(n/p) != 1 for every prime p | n
     if powx(n) != 1:
         return False
-    return all(powx(n // p) != 1 for p in ORDER_FACTORS[m])
+    return all(powx(n // p) != 1 for p in _prime_factors(n))
 
 
 def smallest_primitive_modulus(m):

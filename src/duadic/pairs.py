@@ -1,12 +1,15 @@
 """Duadic pairs built from weight-class specs, the theorem classifier that
 maps a spec to its certified bound family (T4, T7, T8, T9), and the catalog
 of every duadic S for a given (r, t).
+
+A family applies when its lemma's hypotheses hold for S or for S'; those
+hypotheses are stated once, in `bounds.lemma_hypothesis_failure`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
-from .bounds import _anchor_sets, _EXCLUDED_T, lemma_window
+from .bounds import lemma_hypothesis_failure, lemma_window
 from .cyclotomic import complement_spec, defining_set
 
 CATALOG_R_MAX = 16
@@ -85,18 +88,9 @@ def is_duadic(spec):
     classes that are empty at that small m, and such specs carry no
     m-uniform certificate, so they are reported as non-duadic here.
     """
-    return _splits(spec.r, spec.t, spec.S)
-
-
-def _splits(r, t, s):
-    """Z_r \\ S = (t - S) mod r for S of distinct residues, i.e. |S| = r/2
-    and no c in S has its reflection t - c in S."""
-    if 2 * len(s) != r:
-        return False
-    for c in s:
-        if (t - c) % r in s:
-            return False
-    return True
+    # |S| = r/2 and no c in S has its reflection t - c in S
+    r, t, s = spec.r, spec.t, spec.S
+    return 2 * len(s) == r and all((t - c) % r not in s for c in s)
 
 
 def build_pair(spec, even_like=False):
@@ -122,17 +116,12 @@ def classify(spec):
     if spec.unchecked or not is_duadic(spec):
         return _NO_VERDICT
     r, m, t = spec.r, spec.m, spec.t
-    s_set = set(spec.S)
+    comp = complement_spec(spec).S
     matches = []
     for theorem, lemma in _THEOREM_LEMMA.items():
-        if t == _EXCLUDED_T[lemma]:
-            continue
-        if lemma == "L3" and r <= 2:
-            continue
-        s_req, _ = _anchor_sets(lemma, r, t)
-        if s_req <= s_set:
+        if lemma_hypothesis_failure(lemma, r, t, spec.S) is None:
             side = "S"
-        elif {(t - x) % r for x in s_req} <= s_set:
+        elif lemma_hypothesis_failure(lemma, r, t, comp) is None:
             side = "S'"
         else:
             continue
@@ -154,18 +143,7 @@ def classify(spec):
         )
     if not matches:
         return _NO_VERDICT
-    first = matches[0]
-    best = max(found.d_lower for found in matches)
-    return TheoremVerdict(
-        theorem=first.theorem,
-        residue_case=first.residue_case,
-        d_lower=first.d_lower,
-        d_dual_lower=first.d_dual_lower,
-        d_ext_lower=first.d_ext_lower,
-        v=first.v,
-        run_length=first.run_length,
-        best_d_lower=best,
-    )
+    return replace(matches[0], best_d_lower=max(found.d_lower for found in matches))
 
 
 def enumerate_catalog(r, t):

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from duadic.bounds import lemma_window
 from duadic.code import row_reduce
+from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
 
 
 def rank(rows):
@@ -42,3 +44,92 @@ def eval_at_powers(fld, p, exponents=None):
         if (p >> d) & 1:
             acc ^= 1
     return acc
+
+
+# An independent statement of the lemma hypotheses, and the theorem
+# classifier with its hypothesis tests written inline. The library states
+# the hypotheses once, in `bounds.lemma_hypothesis_failure`; the tests
+# check it and `pairs.classify` against these.
+_EXCLUDED_T = {"L3": 3, "L4": 1, "L5": 3, "L6": 1}
+
+
+def _anchor_sets(which, r, t):
+    lo = ((t - 1) // 2) % r
+    near = ((t + r - 1) // 2) % r
+    far = ((t + r + 1) // 2) % r
+    third = (t - 1) % r if which in ("L3", "L5") else 1 % r
+    if which in ("L3", "L4"):
+        s_req = {lo, near, third}
+        comp_req = {((t + 1) // 2) % r, far}
+    else:
+        s_req = {lo, far, third}
+        comp_req = {((t + 1) // 2) % r, near}
+    return s_req, comp_req
+
+
+def lemma_hypothesis_message(spec, which):
+    """The message `check_lemma_hypotheses` raises for a checked spec, or None."""
+    t = spec.t
+    if t == _EXCLUDED_T[which]:
+        return f"{which} requires t != {_EXCLUDED_T[which]}; spec has t = m mod r = {t}"
+    if which == "L3" and spec.r <= 2:
+        return "L3 requires r > 2"
+    s_req, comp_req = _anchor_sets(which, spec.r, t)
+    s_set = set(spec.S)
+    missing = sorted(s_req - s_set)
+    if missing:
+        return f"{which} requires S to contain {sorted(s_req)}; missing {missing}"
+    comp = set(range(spec.r)) - s_set
+    missing = sorted(comp_req - comp)
+    if missing:
+        return f"{which} requires S' to contain {sorted(comp_req)}; missing {missing}"
+    return None
+
+
+def classify(spec):
+    """The theorem classifier with its hypothesis tests written inline: a
+    family matches on side S when its anchors lie in S, and on side S'
+    when their reflections t - x do."""
+    r, m, t = spec.r, spec.m, spec.t
+    s_set = set(spec.S)
+    if spec.unchecked or 2 * len(s_set) != r or any((t - c) % r in s_set for c in s_set):
+        return _NO_VERDICT
+    matches = []
+    for theorem, lemma in _THEOREM_LEMMA.items():
+        if t == _EXCLUDED_T[lemma]:
+            continue
+        if lemma == "L3" and r <= 2:
+            continue
+        s_req, _ = _anchor_sets(lemma, r, t)
+        if s_req <= s_set:
+            side = "S"
+        elif {(t - x) % r for x in s_req} <= s_set:
+            side = "S'"
+        else:
+            continue
+        v, run = lemma_window(lemma, m, r, side)
+        matches.append(
+            TheoremVerdict(
+                theorem=theorem,
+                residue_case=m % (2 * r) if lemma in ("L5", "L6") else None,
+                d_lower=run + 1,
+                d_dual_lower=run + 2,
+                d_ext_lower=-(-(run + 1) // 4) * 4,
+                v=v,
+                run_length=run,
+                best_d_lower=None,
+            )
+        )
+    if not matches:
+        return _NO_VERDICT
+    first = matches[0]
+    return TheoremVerdict(
+        theorem=first.theorem,
+        residue_case=first.residue_case,
+        d_lower=first.d_lower,
+        d_dual_lower=first.d_dual_lower,
+        d_ext_lower=first.d_ext_lower,
+        v=first.v,
+        run_length=first.run_length,
+        best_d_lower=max(found.d_lower for found in matches),
+    )

@@ -282,6 +282,19 @@ def test_csv_output(capsys):
     assert rows[1][3] == "7" and rows[2][3] == "31"
 
 
+def test_construct_and_table_csv_agree_on_shared_columns(capsys):
+    spec = ("-r", "8", "-m", "9", "-S", "0,2,3,4")
+    rows = {}
+    for command in ("construct", "table"):
+        code, out, _ = run_cli(capsys, command, *spec, "--format", "csv")
+        assert code == 0
+        (rows[command],) = csv.DictReader(io.StringIO(out))
+    shared = set(cli.CONSTRUCT_COLUMNS) & set(cli.TABLE_COLUMNS)
+    assert len(shared) == 17
+    assert {col: rows["construct"][col] for col in shared} == {col: rows["table"][col] for col in shared}
+    assert rows["table"]["certified_d_lower"] == "19" and rows["table"]["theorem"] == "T4"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "construct", "-r", "2", "-m", "3", "-S", "1",

@@ -3,7 +3,31 @@ import random
 
 import pytest
 
-from duadic.gf2m import GF2m, ORDER_FACTORS, field, smallest_primitive_modulus
+from duadic.gf2m import GF2m, _prime_factors, field, smallest_primitive_modulus
+
+# Prime factors of 2^m - 1 for every supported degree, kept by hand as the
+# reference for the trial division that `smallest_primitive_modulus` uses.
+ORDER_FACTORS = {
+    2: (3,),
+    3: (7,),
+    4: (3, 5),
+    5: (31,),
+    6: (3, 7),
+    7: (127,),
+    8: (3, 5, 17),
+    9: (7, 73),
+    10: (3, 11, 31),
+    11: (23, 89),
+    12: (3, 5, 7, 13),
+    13: (8191,),
+    14: (3, 43, 127),
+    15: (7, 31, 151),
+    16: (3, 5, 17, 257),
+    17: (131071,),
+    18: (3, 7, 19, 73),
+    19: (524287,),
+    20: (3, 5, 11, 31, 41),
+}
 
 # Frozen output of an independent exhaustive search (order-of-x checked by
 # walking all powers for m <= 14, by factored order checks above).
@@ -29,6 +53,7 @@ def test_degree_out_of_range_rejected(m):
 def test_factor_table_consistent():
     for m, primes in ORDER_FACTORS.items():
         n = (1 << m) - 1
+        assert tuple(_prime_factors(n)) == primes
         rest = n
         for p in primes:
             assert n % p == 0

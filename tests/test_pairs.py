@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from duadic.bounds import LEMMA_IDS, HypothesisError, check_lemma_hypotheses
 from duadic.cyclotomic import WeightClassSpec, complement_spec, defining_set
 from duadic.pairs import (
     R8_REFERENCE_SETS,
@@ -8,6 +11,8 @@ from duadic.pairs import (
     enumerate_catalog,
     is_duadic,
 )
+
+import _oracles
 
 # Expected classification of the r=8 reference sets, with the published
 # lower-bound offsets for both residue classes of m mod 16 (offset o means
@@ -162,6 +167,37 @@ def test_classify_r2_uses_case_split_family():
 def test_classify_unchecked_and_non_duadic_give_none():
     assert classify(WeightClassSpec(r=4, m=5, S=(0, 1))).theorem == "none"
     assert classify(WeightClassSpec(r=4, m=4, S=(0, 1), unchecked=True)).theorem == "none"
+
+
+def _hypothesis_specs():
+    """Every catalog spec with r <= 16 and odd m <= 19, and every checked
+    half-set, duadic or not, for r in {4, 6, 8} and m in {3, 5, 7, 9}."""
+    for r in range(2, 17, 2):
+        for m in range(3, 20, 2):
+            for s in enumerate_catalog(r, m % r):
+                yield WeightClassSpec(r=r, m=m, S=s)
+    for r in (4, 6, 8):
+        for m in (3, 5, 7, 9):
+            for s in combinations(range(r), r // 2):
+                yield WeightClassSpec(r=r, m=m, S=s)
+
+
+def test_classify_matches_the_inline_reference():
+    specs = list(_hypothesis_specs())
+    assert len(specs) == 510 * 9 + 96 * 4
+    for spec in specs:
+        assert classify(spec) == _oracles.classify(spec), spec
+
+
+def test_lemma_hypotheses_match_the_inline_reference():
+    for spec in _hypothesis_specs():
+        for which in LEMMA_IDS:
+            try:
+                check_lemma_hypotheses(spec, which)
+                message = None
+            except HypothesisError as exc:
+                message = str(exc)
+            assert message == _oracles.lemma_hypothesis_message(spec, which), (spec, which)
 
 
 def test_enumerate_catalog_counts():
