@@ -1,6 +1,6 @@
 """Conversions between int bitmaps and numpy bool arrays (LSB = index 0)."""
 
-import numpy as np
+from ._numpy import np
 
 
 def to_bool(bits, n):

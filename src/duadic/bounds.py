@@ -10,9 +10,8 @@ states them, and the theorem classifier in `pairs` asks it.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cyclotomic import complement_spec, defining_set
+from ._numpy import np
+from .cyclotomic import complement_spec
 
 LEMMA_IDS = ("L3", "L4", "L5", "L6")
 SIDES = ("S", "S'")
@@ -208,14 +207,16 @@ def verify_lemma_membership(spec, which, side="S"):
     """Directly test the lemma's conclusion {a*v : 1 <= a <= B} <= T(side).
 
     Hypotheses are checked first (HypothesisError otherwise); the return
-    value is the truth of the membership claim itself.
+    value is the truth of the membership claim itself. Each point j = a*v
+    mod n is tested against the definition of T: j != 0 and w_2(j) mod r
+    lies in the side's half-set.
     """
     check_lemma_hypotheses(spec, which)
     v, b = lemma_window(which, spec.m, spec.r, side)
-    target = spec if side == "S" else complement_spec(spec)
-    arr = defining_set(target).bool_array()
-    points = (np.arange(1, b + 1, dtype=np.int64) * v) % spec.n
-    return bool(arr[points].all())
+    n, r = spec.n, spec.r
+    half = set(spec.S if side == "S" else complement_spec(spec).S)
+    points = (a * v % n for a in range(1, b + 1))
+    return all(j != 0 and j.bit_count() % r in half for j in points)
 
 
 def sqrt_bounds(n, mu_is_minus1=True):

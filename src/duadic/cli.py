@@ -17,7 +17,7 @@ from collections import namedtuple
 from . import gf2poly
 from .bounds import LEMMA_IDS, SIDES, HypothesisError, best_certificate, lemma_window, verify_lemma_membership
 from .code import dual, extend, from_class_polys, from_defining_set, is_doubly_even, is_self_dual
-from .cyclotomic import WeightClassSpec, complement_spec, defining_set
+from .cyclotomic import WeightClassSpec, check_r, complement_spec, defining_set
 from .gf2m import field
 from .mindist import ENUM_BUDGET_K, bounded_min_distance, exact_min_distance
 from .pairs import _THEOREM_LEMMA, R8_REFERENCE_SETS, classify, enumerate_catalog, is_duadic
@@ -332,6 +332,10 @@ def _table_specs(r, m, s_text, unchecked):
 
 def cmd_table(args):
     m_list = _parse_int_list(args.m, "-m")
+    try:
+        check_r(args.r)  # a bad r fails every row, and m % r needs r != 0
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     tasks = []
     for m in m_list:
         v_candidates = _parse_v_candidates(args.v, (1 << m) - 1)
@@ -353,30 +357,31 @@ def cmd_table(args):
 
 def cmd_verify_lemmas(args):
     m_list = _parse_int_list(args.m, "-m")
-    rows = []
-    failures = 0
+    specs = []  # every m is validated before any lemma is checked
     for m in m_list:
         if m % 2 == 0:
             raise UsageError(f"-m values must be odd, got {m}")
         try:
-            sets = enumerate_catalog(args.r, m % args.r)
+            check_r(args.r)  # before m % r
+            specs.extend(WeightClassSpec(r=args.r, m=m, S=s) for s in enumerate_catalog(args.r, m % args.r))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        for s in sets:
-            spec = WeightClassSpec(r=args.r, m=m, S=s)
-            for lemma in LEMMA_IDS:
-                for side in SIDES:
-                    row = {"r": args.r, "m": m, "S": _fmt_seq(s), "lemma": lemma,
-                           "side": side, "v": None, "window": None, "detail": None}
-                    try:
-                        ok = verify_lemma_membership(spec, lemma, side)
-                        v, window = lemma_window(lemma, m, args.r, side)
-                        row.update({"status": "pass" if ok else "fail", "v": v, "window": window})
-                        if not ok:
-                            failures += 1
-                    except HypothesisError as exc:
-                        row.update({"status": "skip", "detail": str(exc)})
-                    rows.append(row)
+    rows = []
+    failures = 0
+    for spec in specs:
+        for lemma in LEMMA_IDS:
+            for side in SIDES:
+                row = {"r": spec.r, "m": spec.m, "S": _fmt_seq(spec.S), "lemma": lemma,
+                       "side": side, "v": None, "window": None, "detail": None}
+                try:
+                    ok = verify_lemma_membership(spec, lemma, side)
+                    v, window = lemma_window(lemma, spec.m, spec.r, side)
+                    row.update({"status": "pass" if ok else "fail", "v": v, "window": window})
+                    if not ok:
+                        failures += 1
+                except HypothesisError as exc:
+                    row.update({"status": "skip", "detail": str(exc)})
+                rows.append(row)
     payload = {
         "command": "verify-lemmas", "r": args.r, "m_list": m_list,
         "rows": rows, "failures": failures,

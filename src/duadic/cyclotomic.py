@@ -8,10 +8,9 @@ of residue j), so unions, intersections and run scans are word-parallel.
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ._bits import from_bool as _bool_to_bits
 from ._bits import to_bool as _bits_to_bool
+from ._numpy import np
 from .gf2m import M_MAX, M_MIN
 
 
@@ -152,6 +151,13 @@ class DefiningSet:
         return {"n": self.n, "leaders": self.coset_leaders()}
 
 
+def check_r(r):
+    """Raise ValueError unless r, the number of weight classes, is a
+    positive even integer."""
+    if r < 2 or r % 2:
+        raise ValueError(f"r must be a positive even integer, got {r}")
+
+
 @dataclass(frozen=True)
 class WeightClassSpec:
     """Parameters (r, m, S) selecting the residue classes of w_2 that form T.
@@ -171,8 +177,7 @@ class WeightClassSpec:
         if len(set(s)) != len(s):
             raise ValueError(f"duplicate residues in S={self.S}")
         object.__setattr__(self, "S", s)
-        if self.r < 2 or self.r % 2:
-            raise ValueError(f"r must be a positive even integer, got {self.r}")
+        check_r(self.r)
         if not M_MIN <= self.m <= M_MAX:
             raise ValueError(f"m={self.m} outside supported range {M_MIN}..{M_MAX}")
         if any(not 0 <= c < self.r for c in s):

@@ -7,7 +7,7 @@ Addition is xor. The zero element is 0 and has no discrete log.
 
 from functools import lru_cache
 
-import numpy as np
+from ._numpy import np
 
 M_MIN = 2
 M_MAX = 20

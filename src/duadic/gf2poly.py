@@ -34,9 +34,8 @@ O(n log^2 n) rather than O(n^2):
 
 from functools import lru_cache
 
-import numpy as np
-
 from ._bits import from_bool, to_bool
+from ._numpy import np
 from .cyclotomic import DefiningSet, coset, weight_classes
 
 NEG_INF = float("-inf")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
-import numpy as np
-
 from ._bits import to_bool
+from ._numpy import np
 from .bounds import best_certificate
 from .code import ExtendedCode, row_reduce
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .bounds import lemma_hypothesis_failure, lemma_window
-from .cyclotomic import complement_spec, defining_set
+from .cyclotomic import check_r, complement_spec, defining_set
 
 CATALOG_R_MAX = 16
 
@@ -153,8 +153,7 @@ def enumerate_catalog(r, t):
     For odd t the reflection c -> (t - c) mod r pairs up Z_r with no fixed
     point, and S is duadic exactly when it takes one residue of each pair,
     so the 2^(r/2) sets are generated directly."""
-    if r < 2 or r % 2:
-        raise ValueError(f"r must be a positive even integer, got {r}")
+    check_r(r)
     if r > CATALOG_R_MAX:
         raise ValueError(f"exhaustive catalog is capped at r <= {CATALOG_R_MAX}")
     if t % 2 == 0 or not 0 <= t < r:

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from duadic.bounds import lemma_window
+from duadic.bounds import check_lemma_hypotheses, lemma_window
 from duadic.code import row_reduce
+from duadic.cyclotomic import complement_spec, defining_set
 from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
 
 
@@ -44,6 +45,17 @@ def eval_at_powers(fld, p, exponents=None):
         if (p >> d) & 1:
             acc ^= 1
     return acc
+
+
+def lemma_membership(spec, which, side="S"):
+    """The lemma's conclusion {a*v : 1 <= a <= B} <= T(side), read off the
+    n-bit bitmap of the side's defining set; hypotheses as in the library."""
+    check_lemma_hypotheses(spec, which)
+    v, b = lemma_window(which, spec.m, spec.r, side)
+    target = spec if side == "S" else complement_spec(spec)
+    arr = defining_set(target).bool_array()
+    points = (np.arange(1, b + 1, dtype=np.int64) * v) % spec.n
+    return bool(arr[points].all())
 
 
 # An independent statement of the lemma hypotheses, and the theorem

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
+from duadic import bounds
 from duadic.bounds import (
+    LEMMA_IDS,
+    SIDES,
     HypothesisError,
     best_certificate,
     default_v_candidates,
@@ -169,6 +173,40 @@ def test_lemma_hypothesis_violations_are_named():
         verify_lemma_membership(spec, "L7", "S")
     with pytest.raises(HypothesisError, match="checked"):
         verify_lemma_membership(WeightClassSpec(r=4, m=4, S=(0, 1), unchecked=True), "L4", "S")
+
+
+def _lemma_outcome(check, spec, which, side):
+    try:
+        return check(spec, which, side)
+    except HypothesisError as exc:
+        return f"HypothesisError: {exc}"
+
+
+# every catalog spec with even r <= 16 and odd m <= 13, and r = 16 up to m = 19
+LEMMA_REFERENCE_CASES = [(r, m) for r in range(2, 17, 2) for m in range(3, 14, 2)] + [(16, 15), (16, 17), (16, 19)]
+
+
+@pytest.mark.parametrize("r,m", LEMMA_REFERENCE_CASES)
+def test_lemma_membership_matches_bitmap_reference(r, m):
+    for s in enumerate_catalog(r, m % r):
+        spec = WeightClassSpec(r=r, m=m, S=s)
+        for which in LEMMA_IDS:
+            for side in SIDES:
+                expected = _lemma_outcome(_oracles.lemma_membership, spec, which, side)
+                assert _lemma_outcome(verify_lemma_membership, spec, which, side) == expected, (spec, which, side)
+
+
+def test_lemma_window_through_zero_is_outside_T(monkeypatch):
+    # lemma windows never reach 0 (v is a unit and B < n), but were one to,
+    # 0 is outside T even though w_2(0) = 0 lies in the class 0 of S
+    spec = WeightClassSpec(r=8, m=9, S=(0, 2, 3, 4))
+
+    def window(which, m, r, side):
+        return spec.n, 1
+
+    monkeypatch.setattr(bounds, "lemma_window", window)
+    monkeypatch.setattr(_oracles, "lemma_window", window)
+    assert verify_lemma_membership(spec, "L3", "S") is _oracles.lemma_membership(spec, "L3", "S") is False
 
 
 def test_lemma_engine_agreement():

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import duadic
 from duadic import cli, gf2poly
 from duadic.bounds import best_certificate, max_ap_run
 from duadic.cli import _catalog_rows, main
@@ -377,3 +380,47 @@ def test_threads_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
     monkeypatch.setenv("DUADIC_THREADS", "8")
     assert cli._workers() == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify-lemmas", "-r", "16", "-m", "21"), "m=21 outside supported range 2..20"),
+    (("verify-lemmas", "-r", "16", "-m", "1"), "m=1 outside supported range 2..20"),
+    (("verify-lemmas", "-r", "16", "-m", "-3"), "m=-3 outside supported range 2..20"),
+    (("verify-lemmas", "-r", "16", "-m", "9,21"), "m=21 outside supported range 2..20"),
+    (("verify-lemmas", "-r", "0", "-m", "9"), "r must be a positive even integer, got 0"),
+    (("table", "-r", "0", "-S", "all", "-m", "9"), "r must be a positive even integer, got 0"),
+    (("table", "-r", "3", "-S", "0", "-m", "9"), "r must be a positive even integer, got 3"),
+])
+def test_bad_r_or_m_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+_CATALOG_AND_LEMMAS_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+from duadic.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+assert run("catalog", "-r", "16", "-t", "3")[0] == 0
+assert run("verify-lemmas", "-r", "16", "-m", "9,19")[0] == 0
+loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+print(json.dumps({"numpy_modules": loaded, "construct": run("construct", "-r", "8", "-m", "9", "-S", "0,2,3,4")}))
+"""
+
+
+def test_catalog_and_verify_lemmas_never_load_numpy(capsys):
+    src = os.path.dirname(os.path.dirname(duadic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _CATALOG_AND_LEMMAS_WITHOUT_NUMPY],
+                          env=env, capture_output=True, text=True, check=True)
+    found = json.loads(proc.stdout)
+    assert found["numpy_modules"] == []
+    # numpy loads on first use in the same process, and construct's output is unchanged
+    code, out, _ = run_cli(capsys, "construct", "-r", "8", "-m", "9", "-S", "0,2,3,4")
+    assert found["construct"] == [code, out]
