@@ -2,7 +2,8 @@
 the weight-class defining sets T that drive every code in this package.
 
 Defining sets are stored as n-bit bitmaps (Python ints, bit j = membership
-of residue j), so unions, intersections and run scans are word-parallel.
+of residue j), so unions and intersections are word-parallel; run scans
+gather from the set's numpy bool array.
 """
 
 from dataclasses import dataclass
@@ -35,9 +36,11 @@ class CyclotomicCoset:
 
 
 def coset(s, n):
-    """The 2-cyclotomic coset of s mod n, elements sorted ascending."""
+    """The 2-cyclotomic coset of s mod n (n odd), elements sorted ascending."""
     if not 0 <= s < n:
         raise ValueError(f"coset representative {s} not in Z_{n}")
+    if n % 2 == 0:
+        raise ValueError(f"doubling is not invertible mod the even n={n}")
     orbit = [s]
     x = 2 * s % n
     while x != s:
@@ -49,12 +52,14 @@ def coset(s, n):
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A subset of Z_n closed under doubling, as an n-bit bitmap."""
+    """A subset of Z_n, n = 2^m - 1, closed under doubling, as an n-bit bitmap."""
 
     n: int
     bits: int
 
     def __post_init__(self):
+        if self.n & (self.n + 1) or not M_MIN <= self.n.bit_length() <= M_MAX:
+            raise ValueError(f"n={self.n} is not 2^m - 1 with {M_MIN} <= m <= {M_MAX}")
         if self.bits >> self.n:
             raise ValueError("bitmap has bits beyond Z_n")
 

@@ -7,7 +7,6 @@ supplies the lower bound and a seeded information-set search (Lee-Brickell,
 messages of weight <= 3, bit-packed numpy rows) supplies the upper bound.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
@@ -230,34 +229,17 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
     )
 
 
-def _pair_blocks(k, size):
-    """Runs (j, l0, l1) of the row pairs (j, l), l0 <= l < l1, in
-    combinations order, grouped into blocks of at most `size` pairs."""
-    block, used = [], 0
-    for j in range(k - 1):
-        l0 = j + 1
-        while l0 < k:
-            l1 = min(k, l0 + size - used)
-            block.append((j, l0, l1))
-            used += l1 - l0
-            l0 = l1
-            if used == size:
-                yield block
-                block, used = [], 0
-    if block:
-        yield block
-
-
 def _light_messages_best(reduced):
     """Lightest combination of at most 3 reduced rows: the first lightest
     word in the order rows, pairs, triples, each in combinations order.
 
-    Rows are packed word-major into a (W, k) uint64 array. Pairs (j, l) are
-    xored a block of consecutive pairs at a time, at most PAIR_BLOCK_WORDS
-    words (or one pair); for each i, the triples (i, j, l) with j > i are a
-    suffix of the block and take one xor against row i. The best candidate
-    is the minimum (weight, stage, combination), stage 1/2/3 for
-    rows/pairs/triples.
+    Rows are packed word-major into a (W, k) uint64 array. A block is a
+    range of pair positions in combinations order, at most PAIR_BLOCK_WORDS
+    words (or one pair); each pair (j, l) is read off its position and the
+    block is one gather-xor of rows j and l. For each i, the triples
+    (i, j, l) with j > i are a suffix of the block and take one xor against
+    row i. The best candidate is the minimum (weight, stage, combination),
+    stage 1/2/3 for rows/pairs/triples.
     """
     k = len(reduced)
     if not k:
@@ -280,26 +262,21 @@ def _light_messages_best(reduced):
 
     w, i = lightest(rows)
     best = (w, 1, (i,))
-    for block in _pair_blocks(k, size):
-        starts, used = [], 0
-        for j, l0, l1 in block:
-            starts.append(used)
-            np.bitwise_xor(rows[:, l0:l1], rows[:, j:j + 1], out=pairs[:, used:used + l1 - l0])
-            used += l1 - l0
-
-        def pair_at(p):
-            s = bisect_right(starts, p) - 1
-            j, l0, _ = block[s]
-            return j, l0 + p - starts[s]
-
-        w, p = lightest(pairs[:, :used])
-        best = min(best, (w, 2, pair_at(p)))
-        js = [j for j, _, _ in block]
-        for i in range(block[-1][0]):
-            first = starts[bisect_right(js, i)]  # the pairs with j > i
-            out = triples[:, first:used]
-            np.bitwise_xor(pairs[:, first:used], rows[:, i:i + 1], out=out)
+    run_start = np.cumsum([0, *range(k - 1, 0, -1)])  # position of pair (j, j + 1)
+    total = int(run_start[-1])
+    for first in range(0, total, size):
+        q = np.arange(first, min(first + size, total))
+        j = np.searchsorted(run_start, q, "right") - 1
+        l = q - run_start[j] + j + 1
+        block = pairs[:, :len(q)]
+        np.take(rows, j, axis=1, out=block)
+        np.bitwise_xor(block, np.take(rows, l, axis=1, out=triples[:, :len(q)]), out=block)
+        w, p = lightest(block)
+        best = min(best, (w, 2, (int(j[p]), int(l[p]))))
+        for i, s in enumerate(np.searchsorted(j, np.arange(j[-1]), "right").tolist()):  # the pairs with j > i
+            out = triples[:, s:len(q)]
+            np.bitwise_xor(block[:, s:], rows[:, i:i + 1], out=out)
             w, p = lightest(out)
             if w <= best[0]:
-                best = min(best, (w, 3, (i, *pair_at(first + p))))
+                best = min(best, (w, 3, (i, int(j[s + p]), int(l[s + p]))))
     return reduce(xor, (reduced[i] for i in best[2]))

@@ -11,9 +11,10 @@ import duadic
 from duadic import cli, gf2poly
 from duadic.bounds import best_certificate, max_ap_run
 from duadic.cli import _catalog_rows, main
-from duadic.code import CyclicCode, dual, from_defining_set
+from duadic.code import CyclicCode, dual, extend, from_defining_set
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
+from duadic.mindist import exact_min_distance
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,19 @@ def test_table_r2(capsys):
     assert [(r["ext_n"], r["ext_k"], r["ext_exact_d"]) for r in rows] == [(8, 4, 4), (32, 16, 8)]
     assert all(r["self_dual"] and r["doubly_even"] for r in rows)
     assert rows[1]["dual_exact_d"] == 8
+
+
+def test_table_ext_exact_d_matches_the_extended_code(capsys):
+    parities = set()
+    for r, s, ms in [(2, "0", "4"), (4, "0,1", "3,5"), (2, "1", "3,5")]:
+        code, payload, _ = run_json(capsys, "table", "-r", str(r), "-S", s, "-m", ms, "--unchecked")
+        assert code == 0
+        for row in payload["rows"]:
+            spec = WeightClassSpec(r=r, m=row["m"], S=tuple(map(int, s.split(","))), unchecked=True)
+            c = from_defining_set(field(row["m"]), defining_set(spec))
+            assert row["ext_exact_d"] == exact_min_distance(extend(c)).lower, row
+            parities.add(row["exact_d"] % 2)
+    assert parities == {0, 1}
 
 
 def test_table_certified_bounds_r8(capsys):

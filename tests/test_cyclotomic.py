@@ -45,6 +45,11 @@ def test_coset_representative_range():
         coset(7, 7)
 
 
+def test_coset_rejects_even_modulus():
+    with pytest.raises(ValueError, match="even"):
+        coset(1, 4)  # doubling mod 4 never returns to 1
+
+
 def test_defining_set_examples():
     t0 = defining_set(WeightClassSpec(r=2, m=3, S=(0,)))
     assert sorted(t0.indices().tolist()) == [3, 5, 6]
@@ -135,7 +140,15 @@ def test_negated_is_involution():
 def test_from_indices_bounds():
     with pytest.raises(ValueError):
         DefiningSet.from_indices(7, [7])
+    with pytest.raises(ValueError, match=r"2\^m - 1"):
+        DefiningSet.from_indices(5, [1, 2, 3, 4])  # one coset mod 5, which coset_leaders would split
     assert DefiningSet.from_indices(7, []).size == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 9, (1 << 21) - 1])
+def test_defining_set_needs_n_of_the_form_2_to_the_m_minus_1(n):
+    with pytest.raises(ValueError, match=r"2\^m - 1"):
+        DefiningSet(n=n, bits=0)
 
 
 def test_with_without_zero():

@@ -212,7 +212,7 @@ def _row_lists(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_row_lists(), st.sampled_from([1, 7, 1 << 13]))
+@given(_row_lists(), st.integers(1, 64) | st.just(1 << 13))
 def test_light_messages_match_reference(rows, block_words):
     with mock.patch.object(mindist, "PAIR_BLOCK_WORDS", block_words):
         assert mindist._light_messages_best(rows) == _light_messages_reference(rows)
