@@ -2,6 +2,9 @@
 run-membership lemmas L3-L6, and the square-root-style floors on the
 minimum odd weight of an odd-like duadic pair.
 
+BCH runs are found on the defining set's int bitmap by shifted ANDs, and
+the lemma windows point by point from w_2, so this module needs no numpy.
+
 This module is the one source of the lemma hypotheses (excluded t, r > 2
 for L3, the anchor residues of S and S'): `lemma_hypothesis_failure`
 states them, and the theorem classifier in `pairs` asks it.
@@ -10,7 +13,6 @@ states them, and the theorem classifier in `pairs` asks it.
 import math
 from dataclasses import dataclass
 
-from ._numpy import np
 from .cyclotomic import complement_spec
 
 LEMMA_IDS = ("L3", "L4", "L5", "L6")
@@ -76,27 +78,40 @@ class SqrtBoundReport:
 def max_ap_run(T, v):
     """Longest arithmetic progression with difference v contained in T.
 
-    v must be a unit mod n. The AP {l + i*v} sits in T exactly when the
-    consecutive-integer run {l*v^-1 + i} sits in v^-1 * T, so the scan is a
-    single circular run search over the permuted bitmap. Among maximal runs
-    the one with the smallest start l is reported.
+    v must be a unit mod n. The runs are read off the n-bit bitmap of T by
+    rotation, with rot(X, s) the bitmap whose bit j is bit j + s mod n of X:
+    R_0 = T and R_{i+1} = R_i & rot(R_i, 2^i * v), so bit j of R_i is set
+    when the 2^i AP terms from j all lie in T. The longest run L is
+    assembled from the R_i greedily, highest power first, and the bits
+    left set are the starts of the runs of length L. Among them the
+    smallest start l is reported. Every step is one big-int operation,
+    O(log n) of them per call.
     """
     n = T.n
     if math.gcd(v % n, n) != 1:
         raise ValueError(f"v={v} is not a unit mod {n}")
     v %= n
     vinv = pow(v, -1, n)
-    arr = T.bool_array()
-    u = arr[(np.arange(n, dtype=np.int64) * v) % n]
-    zero_pos = np.flatnonzero(~u)
-    if zero_pos.size == 0:
+    full = (1 << n) - 1
+    if T.bits == full:
         return BchCertificate(v=v, start=0, run_length=n, d_lower=n + 1, gamma_exponent=vinv)
-    gaps = (np.roll(zero_pos, -1) - zero_pos - 1) % n
-    run = int(gaps.max())
+
+    def rot(x, s):
+        s %= n
+        return (x >> s | x << (n - s)) & full
+
+    # 2^i >= n terms would cover Z_n, so below the full set some R_i is empty
+    runs = [T.bits]
+    while runs[-1]:
+        runs.append(runs[-1] & rot(runs[-1], v << (len(runs) - 1)))
+    starts, run = full, 0
+    for i in reversed(range(len(runs) - 1)):
+        longer = starts & rot(runs[i], run * v)
+        if longer:
+            starts, run = longer, run + (1 << i)
     if run == 0:
         return BchCertificate(v=v, start=0, run_length=0, d_lower=1, gamma_exponent=vinv)
-    run_starts = (zero_pos[gaps == run] + 1) % n
-    start = int(((run_starts * v) % n).min())
+    start = (starts & -starts).bit_length() - 1
     return BchCertificate(v=v, start=start, run_length=run, d_lower=run + 1, gamma_exponent=vinv)
 
 

@@ -143,7 +143,7 @@ def _analyze(spec, v_candidates, polys):
     verdict = classify(spec)
     cert = best_certificate(c.T, v_candidates)
     d = dual(c)
-    dual_cert = best_certificate(d.T, v_candidates)
+    dual_cert = best_certificate(d.T, v_candidates) if d.k else None  # the zero code has no distance to bound
     e = extend(c)
     return _Analysis(c, verdict, cert, d, dual_cert, e, is_duadic(spec), is_self_dual(e), is_doubly_even(e))
 
@@ -166,7 +166,7 @@ def _construct_report(spec, a):
             "k": d.k,
             "generator_hex": gf2poly.to_hex(d.g),
             "defining_set_leaders": d.T.coset_leaders(),
-            "bch": a.dual_cert.to_json(),
+            "bch": a.dual_cert.to_json() if a.dual_cert else None,
         },
         "extended": {"n": e.n, "k": e.k, "self_dual": a.self_dual, "doubly_even": a.doubly_even},
     }
@@ -184,7 +184,7 @@ def _analysis_row(spec, a):
         "predicted_d_ext_lower": verdict.d_ext_lower,
         "certified_d_lower": a.cert.d_lower, "bch_v": a.cert.v, "bch_l": a.cert.start,
         "bch_run_length": a.cert.run_length,
-        "dual_k": d.k, "dual_certified_d_lower": a.dual_cert.d_lower,
+        "dual_k": d.k, "dual_certified_d_lower": a.dual_cert.d_lower if a.dual_cert else None,
         "ext_n": e.n, "ext_k": e.k, "self_dual": a.self_dual, "doubly_even": a.doubly_even,
     }
 
@@ -213,10 +213,8 @@ def _construct_text(report):
         )
     lines.append(f"bch        v={cert['v']} l={cert['l']} run={cert['run_length']} => d >= {cert['d_lower']}")
     dc = report["dual"]["bch"]
-    lines.append(
-        f"dual       [{report['dual']['n']},{report['dual']['k']}] "
-        f"bch v={dc['v']} run={dc['run_length']} => d >= {dc['d_lower']}"
-    )
+    dual_bound = f"bch v={dc['v']} run={dc['run_length']} => d >= {dc['d_lower']}" if dc else "zero code"
+    lines.append(f"dual       [{report['dual']['n']},{report['dual']['k']}] {dual_bound}")
     ext = report["extended"]
     lines.append(
         f"extended   [{ext['n']},{ext['k']}] self_dual={_yn(ext['self_dual'])} doubly_even={_yn(ext['doubly_even'])}"
@@ -297,18 +295,18 @@ def _table_row(task):
     base.update({"r": r, "m": m, "S": _fmt_seq(s), "error": error})
     if error is not None:
         return base
-    try:
-        a = _analyze(spec, v_candidates, polys)
-        base.update((col, val) for col, val in _analysis_row(spec, a).items() if col in base)
-        if a.code.k <= ENUM_BUDGET_K:
-            found = exact_min_distance(a.code)
-            base["exact_d"] = found.lower
-            base["min_odd_weight"] = found.min_odd_weight
-            base["ext_exact_d"] = found.lower + (found.lower & 1)  # a parity bit makes odd weights even
-        if a.dual.k <= ENUM_BUDGET_K:
+    a = _analyze(spec, v_candidates, polys)
+    base.update((col, val) for col, val in _analysis_row(spec, a).items() if col in base)
+    if a.code.k <= ENUM_BUDGET_K:  # k >= 1: T never holds 0
+        found = exact_min_distance(a.code)
+        base["exact_d"] = found.lower
+        base["min_odd_weight"] = found.min_odd_weight
+        base["ext_exact_d"] = found.lower + (found.lower & 1)  # a parity bit makes odd weights even
+    if a.dual.k <= ENUM_BUDGET_K:
+        try:
             base["dual_exact_d"] = exact_min_distance(a.dual).lower
-    except ValueError as exc:  # zero codes are reported inline; invariant failures escape
-        base["error"] = str(exc)
+        except ValueError as exc:  # the zero code is reported inline
+            base["error"] = f"dual: {exc}"
     return base
 
 
@@ -347,8 +345,11 @@ def cmd_table(args):
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: every other command skips its cost
 
+        # a chunk of tasks is pickled at once, so its rows share one copy of
+        # the class polynomials and of the subset products memoised in it
+        chunk = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, tasks))
+            rows = list(pool.map(_table_row, tasks, chunksize=chunk))
     else:
         rows = [_table_row(t) for t in tasks]
     payload = {"command": "table", "r": args.r, "S": args.S, "m_list": m_list, "rows": rows}
@@ -408,13 +409,13 @@ def cmd_mindist(args):
         c = dual(c)
     elif args.code == "extended":
         c = extend(c)
-    if c.k <= ENUM_BUDGET_K:
-        bound = exact_min_distance(c)
-    else:
-        try:
+    try:
+        if c.k <= ENUM_BUDGET_K:
+            bound = exact_min_distance(c)
+        else:
             bound = bounded_min_distance(c, effort=args.effort, seed=args.seed, v_candidates=v_candidates)
-        except ValueError as exc:  # refused by the search's memory budget
-            raise UsageError(str(exc)) from None
+    except ValueError as exc:  # the zero code, or refused by the search's memory budget
+        raise UsageError(str(exc)) from None
     payload = {
         "command": "mindist",
         "spec": _spec_json(spec),

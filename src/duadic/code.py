@@ -95,16 +95,17 @@ def from_class_polys(fld, spec, polys):
 
     T_S is the disjoint union of the classes W_c, c in S, and Z_n \\ T_S is
     {0} together with T_{Z_r \\ S}, so g = prod_{c in S} P_c and
-    h = (x + 1) prod_{c not in S} P_c.
+    h = (x + 1) prod_{c not in S} P_c; both products come from the set's
+    memoised subset products.
     """
     # the classes partition 1..n-1, so the degrees of their polynomials sum to n - 1
-    if fld.m != spec.m or len(polys) != spec.r or sum(map(gf2poly.degree, polys)) != spec.n - 1:
+    if fld.m != spec.m or len(polys.polys) != spec.r or sum(map(gf2poly.degree, polys.polys)) != spec.n - 1:
         raise ValueError(f"class polynomials do not belong to m={spec.m}, r={spec.r}")
     T = defining_set(spec)
-    g = gf2poly.product([polys[c] for c in spec.S])
+    g = polys.product(spec.S)
     if gf2poly.degree(g) != T.size:
         raise AssertionError("generator degree disagrees with the defining set")
-    h = gf2poly.product([0b11] + [p for c, p in enumerate(polys) if c not in spec.S])
+    h = gf2poly.mul(0b11, polys.product([c for c in range(spec.r) if c not in spec.S]))
     return CyclicCode(field=fld, n=T.n, k=T.n - T.size, g=g, T=T, h=h)
 
 
@@ -136,13 +137,13 @@ def _self_orthogonal(ext):
     Rows never wrap (deg g + k - 1 = n - 1), so <row_i, row_j> depends only
     on the lag d = j - i: it is |supp(g) & supp(x^d g)| + parity^2 mod 2.
     The overlap parities at every lag are the coefficients of
-    g(x) * reciprocal(g)(x) above x^deg(g), so one product checks all k-1
-    lags at once.
+    g(x) * reciprocal(g)(x) above x^deg(g), so one autocorrelation checks
+    all k-1 lags at once.
     """
     g = ext.base.g
     parity = ext.parity_bit
     deg_g = g.bit_length() - 1
-    lags = (gf2poly.mul(g, gf2poly.reciprocal(g)) >> (deg_g + 1)) & ((1 << (ext.k - 1)) - 1)
+    lags = (gf2poly.autocorrelation(g) >> (deg_g + 1)) & ((1 << (ext.k - 1)) - 1)
     return lags == (((1 << (ext.k - 1)) - 1) if parity else 0)
 
 

@@ -2,8 +2,9 @@
 the weight-class defining sets T that drive every code in this package.
 
 Defining sets are stored as n-bit bitmaps (Python ints, bit j = membership
-of residue j), so unions and intersections are word-parallel; run scans
-gather from the set's numpy bool array.
+of residue j), so unions and intersections are word-parallel, and so are
+the BCH run scans of `bounds.max_ap_run`, which AND rotations of the
+bitmap.
 """
 
 from dataclasses import dataclass

@@ -11,9 +11,13 @@ O(n log^2 n) rather than O(n^2):
 - The code of a weight-class spec (r, m, S) needs no per-coset product.
   T_S is the disjoint union of the classes W_c, c in S, and Z_n \\ T_S
   is {0} together with T_{Z_r \\ S}. So `class_polys` builds the r class
-  polynomials P_c of a field once, and then g = prod_{c in S} P_c and the
-  check polynomial h = (x + 1) prod_{c not in S} P_c are each one `product`
-  of at most r factors (`code.from_class_polys`).
+  polynomials P_c of a field once, and g = prod_{c in S} P_c and the
+  cofactor prod_{c not in S} P_c of the check polynomial
+  h = (x + 1) prod_{c not in S} P_c are subset products of them
+  (`code.from_class_polys`). `ClassPolys.product` splits the class indices
+  [0, r) in balanced halves and memoises the product of every subset it
+  meets, so the specs of one field share their sub-products and a
+  polynomial of a catalog spec costs about one product of two halves.
 - `mul` picks its method by operand size alone. Shift-xor costs one
   big-int shift and xor per set bit of the sparser operand: quadratic, but
   with no fixed cost, so below FFT_MIN_BITS it beats the transform. That
@@ -25,6 +29,9 @@ O(n log^2 n) rather than O(n^2):
   FFT_MAX_BITS is split into halves of its longer operand first. Each
   FFT's buffers then stay near 2 MB, and peak memory at m = 19 stays
   where building the GF(2^m) tables already puts it.
+- `autocorrelation(g)` = g * reciprocal(g), the self-orthogonality
+  product, takes one forward transform: its coefficients are the lags
+  sum_i g_i g_{i+s} of g, which the inverse transform of |G|^2 gives.
 - The exact coefficients are integers below 2^18, far inside float64's
   exact range, and the transform's error is far below 1/2. That margin is
   measured, not proven, so the rounding guard requires every coefficient
@@ -32,6 +39,7 @@ O(n log^2 n) rather than O(n^2):
   digit fails loudly instead of returning a wrong product.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 
 from ._bits import from_bool, to_bool
@@ -84,6 +92,7 @@ def _mul_shift_xor(a, b):
     return r
 
 
+@lru_cache(maxsize=1024)
 def _fft_length(n):
     """Smallest 2^i 3^j 5^k >= n, a length numpy's FFT handles at full speed."""
     best = 1 << (n - 1).bit_length()
@@ -112,12 +121,40 @@ def _mul_fft(a, b):
     spectrum *= _spectrum(b, length)
     conv = np.fft.irfft(spectrum, length)[:nbits]
     del spectrum  # freed before the rounding allocates its own buffer
+    return from_bool(_parities(conv))
+
+
+def _parities(conv):
+    """The parities of the rounded coefficients of an FFT convolution, as a
+    bool array. Raises when a coefficient is not within ROUNDING_TOLERANCE
+    of an integer; overwrites conv."""
     exact = np.rint(conv)
     conv -= exact
     worst = float(np.abs(conv, out=conv).max())
     if not worst < ROUNDING_TOLERANCE:
         raise ArithmeticError(f"FFT product lost precision: a coefficient was {worst:.3g} from an integer")
-    return from_bool((exact.astype(np.int32) & 1).astype(bool))
+    return (exact.astype(np.int32) & 1).astype(bool)
+
+
+def autocorrelation(g):
+    """g * reciprocal(g), whose coefficient at x^(deg g + s) is the parity of
+    sum_i g_i g_{i+s}, the overlap of g with x^s g.
+
+    Chosen by mul's size rule: shift-xor below FFT_MIN_BITS and the split
+    product above FFT_MAX_BITS; in between one forward FFT, since the
+    inverse transform of |G|^2 is the circular autocorrelation of g, and
+    the transform is long enough that it does not wrap.
+    """
+    bits = g.bit_length()
+    if bits < FFT_MIN_BITS or 2 * bits > FFT_MAX_BITS:
+        return mul(g, reciprocal(g))
+    length = _fft_length(2 * bits - 1)
+    spectrum = _spectrum(g, length)
+    power = spectrum.real**2 + spectrum.imag**2
+    del spectrum
+    lags = _parities(np.fft.irfft(power, length)[:bits])
+    # the product's coefficient at x^k is lag |k - deg g|
+    return from_bool(np.concatenate((lags[:0:-1], lags)))
 
 
 def divmod_(a, b):
@@ -242,10 +279,49 @@ def generator_poly(fld, T):
     return product([minimal_poly(fld, coset(leader, fld.n)) for leader in T.coset_leaders()])
 
 
+class ClassPolys:
+    """The class polynomials P_c, c in Z_r, of one field, with a memo of
+    their subset products.
+
+    The memo lives as long as the set, which one command builds per field;
+    a pickled set, such as a table worker's task, carries the polynomials
+    and an empty memo.
+    """
+
+    def __init__(self, polys):
+        self.polys = tuple(polys)
+        self._memo = {}
+
+    def __reduce__(self):
+        return ClassPolys, (self.polys,)
+
+    def product(self, classes):
+        """prod_{c in classes} P_c for a strictly increasing sequence of classes."""
+        return self._product(tuple(classes), 0, len(self.polys))
+
+    def _product(self, classes, lo, hi):
+        """The product for classes inside [lo, hi): the product of the
+        products over [lo, mid) and [mid, hi), memoised by classes."""
+        if len(classes) < 2:
+            return self.polys[classes[0]] if classes else 1
+        mid = (lo + hi) // 2
+        cut = bisect_left(classes, mid)
+        if cut == 0:
+            return self._product(classes, mid, hi)
+        if cut == len(classes):
+            return self._product(classes, lo, mid)
+        found = self._memo.get(classes)
+        if found is None:
+            found = mul(self._product(classes[:cut], lo, mid), self._product(classes[cut:], mid, hi))
+            self._memo[classes] = found
+        return found
+
+
 def class_polys(fld, r):
     """The class polynomials P_c = prod_{j in W_c} (x - alpha^j), c in Z_r,
-    where W_c = {1 <= j <= n-1 : w_2(j) = c mod r}; an empty class gives 1."""
-    return tuple(generator_poly(fld, w) for w in weight_classes(fld.m, r))
+    where W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, as a ClassPolys; an
+    empty class gives 1."""
+    return ClassPolys(generator_poly(fld, w) for w in weight_classes(fld.m, r))
 
 
 def check_poly(g, n):

@@ -1,8 +1,10 @@
 """Slow, obviously correct references that the tests check the library against."""
 
+import math
+
 import numpy as np
 
-from duadic.bounds import check_lemma_hypotheses, lemma_window
+from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
 from duadic.code import row_reduce
 from duadic.cyclotomic import complement_spec, defining_set
 from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
@@ -56,6 +58,29 @@ def lemma_membership(spec, which, side="S"):
     arr = defining_set(target).bool_array()
     points = (np.arange(1, b + 1, dtype=np.int64) * v) % spec.n
     return bool(arr[points].all())
+
+
+def max_ap_run(T, v):
+    """Longest AP with unit difference v in T, by one circular run search
+    over T's bool array gathered in AP order: the AP {l + i*v} sits in T
+    exactly when the run {l*v^-1 + i} sits in v^-1 * T. Among maximal runs
+    the one with the smallest start l is reported."""
+    n = T.n
+    if math.gcd(v % n, n) != 1:
+        raise ValueError(f"v={v} is not a unit mod {n}")
+    v %= n
+    vinv = pow(v, -1, n)
+    u = T.bool_array()[(np.arange(n, dtype=np.int64) * v) % n]
+    zero_pos = np.flatnonzero(~u)
+    if zero_pos.size == 0:
+        return BchCertificate(v=v, start=0, run_length=n, d_lower=n + 1, gamma_exponent=vinv)
+    gaps = (np.roll(zero_pos, -1) - zero_pos - 1) % n
+    run = int(gaps.max())
+    if run == 0:
+        return BchCertificate(v=v, start=0, run_length=0, d_lower=1, gamma_exponent=vinv)
+    run_starts = (zero_pos[gaps == run] + 1) % n
+    start = int(((run_starts * v) % n).min())
+    return BchCertificate(v=v, start=start, run_length=run, d_lower=run + 1, gamma_exponent=vinv)
 
 
 # An independent statement of the lemma hypotheses, and the theorem

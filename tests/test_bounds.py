@@ -308,3 +308,32 @@ def test_ap_run_is_invariant_on_the_orbit_of_v(m, r, data):
     run = max_ap_run(t, v).run_length
     assert max_ap_run(t, 2 * v % n).run_length == run
     assert max_ap_run(t, -v % n).run_length == run
+
+
+@st.composite
+def _ap_sets(draw):
+    """A subset of Z_n, m <= 11: empty, full, a weight-class defining set,
+    uniformly random, or full but for a few holes (long runs)."""
+    m = draw(st.integers(2, 11))
+    n = (1 << m) - 1
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(["empty", "full", "class", "random", "holes"]))
+    if kind == "class":
+        r = draw(st.sampled_from([2, 4, 6, 8, 16]))
+        s = draw(st.lists(st.integers(0, r - 1), max_size=r - 1, unique=True))
+        return defining_set(WeightClassSpec(r=r, m=m, S=tuple(s), unchecked=True))
+    if kind == "random":
+        return DefiningSet(n=n, bits=draw(st.integers(0, full)))
+    if kind == "holes":
+        holes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        return DefiningSet(n=n, bits=full & ~sum(1 << h for h in set(holes)))
+    return DefiningSet.full(n) if kind == "full" else DefiningSet.empty(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ap_sets())
+def test_max_ap_run_matches_the_gather_reference_for_every_unit(t):
+    n = t.n
+    for v in range(1, n + 1):
+        if math.gcd(v, n) == 1:
+            assert max_ap_run(t, v) == _oracles.max_ap_run(t, v), v

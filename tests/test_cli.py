@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -221,6 +222,46 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
     assert code == 0 and len(payload["rows"]) == 256
     assert all(row["error"] is None for row in payload["rows"])
     assert len(calls) == 16  # one per weight class, shared by all 256 rows
+
+
+# sha256 of stdout, recorded from the plain per-spec products, the gathered
+# BCH run scans and the two-transform self-orthogonality products that the
+# memoised class-subset products, bitmap rotations and autocorrelation
+# replaced; the output may not change by a byte.
+GOLDEN_DIGESTS = [
+    ("table -r 8 -S all -m 3,5,7,9", "json", "aaa11b57a1d5ad574a018588c0a3ac6cec106dd3063f239251872e72c9d28f46"),
+    ("table -r 8 -S all -m 3,5,7,9", "csv", "d6bd4f30c75d3ee3cc04cdbc1e1754dbdc8aaee6946874d4a00799a2cc04cf60"),
+    ("table -r 16 -S all -m 9", "json", "454a4a529ef6c8d7e04d031280223c15613366e70350f4b8280cf44477c0c028"),
+    ("table -r 16 -S all -m 9", "csv", "83b3be85019eee0f0d40d9edf2e81b2a8722fa806173ec737e5dfefe49aa2196"),
+    ("construct -r 8 -m 9 -S 0,2,3,4", "json", "8448e39cb9f27f77c9b0b507068fbb7d56781bde323b7d2d2f51e3c84a8eed6b"),
+    ("construct -r 8 -m 9 -S 0,2,3,4", "csv", "b0d2c77fda49ac88a5bbcbb36a6f2a01cf15310a246c9ff0b31c71563d37571c"),
+]
+
+
+@pytest.mark.parametrize("command,fmt,digest", GOLDEN_DIGESTS)
+def test_output_matches_the_recorded_digest(capsys, monkeypatch, command, fmt, digest):
+    monkeypatch.delenv("DUADIC_THREADS", raising=False)
+    code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_zero_dual_gets_no_distance_bound(capsys):
+    # S = {0} at m = 2 leaves T empty: C is all of GF(2)^3 and its dual the zero code
+    code, payload, _ = run_json(capsys, "table", "-r", "2", "-S", "0", "-m", "2", "--unchecked")
+    assert code == 0
+    row = payload["rows"][0]
+    assert (row["k"], row["exact_d"], row["ext_exact_d"], row["dual_k"]) == (3, 1, 2, 0)
+    assert row["dual_certified_d_lower"] is None and row["dual_exact_d"] is None
+    assert row["error"] == "dual: the zero code has no nonzero codeword"
+    code, payload, _ = run_json(capsys, "construct", "-r", "2", "-S", "0", "-m", "2", "--unchecked")
+    assert code == 0 and payload["report"]["dual"]["k"] == 0 and payload["report"]["dual"]["bch"] is None
+    code, out, _ = run_cli(capsys, "construct", "-r", "2", "-S", "0", "-m", "2", "--unchecked", "--format", "csv")
+    assert code == 0 and next(csv.DictReader(io.StringIO(out)))["dual_certified_d_lower"] == ""
+    code, out, _ = run_cli(capsys, "construct", "-r", "2", "-S", "0", "-m", "2", "--unchecked")
+    assert code == 0 and "dual       [3,0] zero code" in out
+    code, out, err = run_cli(capsys, "mindist", "-r", "2", "-S", "0", "-m", "2", "--unchecked", "--code", "dual")
+    assert (code, out, err) == (2, "", "error: the zero code has no nonzero codeword\n")
 
 
 def test_verify_lemmas(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duadic import gf2poly
 from duadic.code import (
     dual,
     extend,
@@ -17,7 +19,7 @@ from duadic.code import (
 )
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
-from duadic.gf2poly import class_polys, generator_poly
+from duadic.gf2poly import ClassPolys, class_polys, generator_poly, product
 from duadic.pairs import enumerate_catalog
 
 from _oracles import eval_at_powers, matrix_product_is_zero, rank
@@ -97,7 +99,28 @@ def test_class_route_check_polynomial_is_verified():
     with pytest.raises(ValueError, match="class polynomials"):
         from_class_polys(field(11), replace(spec, m=11), polys)
     with pytest.raises(ValueError, match="class polynomials"):
-        from_class_polys(fld, spec, polys[:4])
+        from_class_polys(fld, spec, ClassPolys(polys.polys[:4]))
+
+
+@pytest.mark.parametrize("r,m", [(16, 9), *((8, m) for m in range(3, 12, 2))])
+def test_catalog_specs_from_one_shared_class_set_equal_specs_built_alone(r, m, monkeypatch):
+    fld = field(m)
+    shared = class_polys(fld, r)
+    specs = [WeightClassSpec(r=r, m=m, S=s) for s in enumerate_catalog(r, m % r)]
+    products = []
+    mul = gf2poly.mul
+    monkeypatch.setattr(gf2poly, "mul", lambda a, b: products.append(1) or mul(a, b))
+    codes = [from_class_polys(fld, spec, shared) for spec in specs]
+    shared_products = len(products)
+    alone = [from_class_polys(fld, spec, ClassPolys(shared.polys)) for spec in specs]
+    assert 2 * shared_products <= len(products) - shared_products
+    monkeypatch.undo()
+    for spec, c, c_alone in zip(specs, codes, alone):
+        assert (c, c.h) == (c_alone, c_alone.h)
+        assert c.g == product([shared.polys[i] for i in spec.S])
+        assert c.h == product([0b11] + [p for i, p in enumerate(shared.polys) if i not in spec.S])
+    shipped = pickle.loads(pickle.dumps(shared))
+    assert shipped.polys == shared.polys and shipped._memo == {}
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
