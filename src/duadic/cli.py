@@ -336,10 +336,13 @@ def cmd_table(args):
         raise UsageError(str(exc)) from None
     tasks = []
     for m in m_list:
-        v_candidates = _parse_v_candidates(args.v, (1 << m) - 1)
         specs = _table_specs(args.r, m, args.S, args.unchecked)
-        # built once per m and shared by its rows (also across worker processes)
-        polys = gf2poly.class_polys(field(m), args.r) if any(spec is not None for _, spec, _ in specs) else None
+        # only an m with a valid spec has an n to check --v against and rows
+        # to build; its class polynomials are built once and shared by its
+        # rows (also across worker processes)
+        valid = [spec for _, spec, _ in specs if spec is not None]
+        v_candidates = _parse_v_candidates(args.v, valid[0].n) if valid else None
+        polys = gf2poly.class_polys(field(m), args.r) if valid else None
         tasks.extend((args.r, m, s, error, spec, polys, v_candidates) for s, spec, error in specs)
     workers = _workers()
     if workers > 1 and len(tasks) > 1:
@@ -424,13 +427,7 @@ def cmd_mindist(args):
         "k": c.k,
         "bound": bound.to_json(),
     }
-    row = {
-        "r": spec.r, "m": spec.m, "S": _fmt_seq(spec.S), "code": args.code,
-        "n": c.n, "k": c.k, "method": bound.method, "lower": bound.lower,
-        "upper": bound.upper, "exact": bound.exact,
-        "min_odd_weight": bound.min_odd_weight, "seed": bound.seed,
-        "effort": bound.effort, "witness_hex": bound.to_json()["witness_hex"],
-    }
+    row = {"r": spec.r, "m": spec.m, "S": _fmt_seq(spec.S), "code": args.code, "n": c.n, "k": c.k, **bound.to_json()}
     text = (
         f"[{c.n},{c.k}] {args.code}: d in [{bound.lower}, {bound.upper}]"
         f"{' (exact)' if bound.exact else ''} via {bound.method}"

@@ -132,19 +132,20 @@ def extend(code):
 
 
 def _self_orthogonal(ext):
-    """G * G^T = 0 for the extended cyclic-shift matrix.
+    """Whether the extended code is self-orthogonal, read off the base
+    code's defining set T: it is iff T, -T and {0} cover Z_n.
 
-    Rows never wrap (deg g + k - 1 = n - 1), so <row_i, row_j> depends only
-    on the lag d = j - i: it is |supp(g) & supp(x^d g)| + parity^2 mod 2.
-    The overlap parities at every lag are the coefficients of
-    g(x) * reciprocal(g)(x) above x^deg(g), so one autocorrelation checks
-    all k-1 lags at once.
+    The parity bit gives every pair of odd words of C an even inner product
+    once the even-like subcode E (defining set T u {0}) is orthogonal to C:
+    the odd words form one coset u + E, and the extended words of u and
+    u + e meet in wt(u) + 1 + <u, e> = <u, e> mod 2. A pair with an even
+    word gains nothing from the parity bit. So the extension is
+    self-orthogonal iff E lies in the dual C^perp (defining set Z_n \\ -T),
+    and for cyclic codes that containment is the reverse containment of
+    defining sets, Z_n \\ -T <= T u {0}.
     """
-    g = ext.base.g
-    parity = ext.parity_bit
-    deg_g = g.bit_length() - 1
-    lags = (gf2poly.autocorrelation(g) >> (deg_g + 1)) & ((1 << (ext.k - 1)) - 1)
-    return lags == (((1 << (ext.k - 1)) - 1) if parity else 0)
+    T = ext.base.T
+    return (T | T.negated()).with_zero() == DefiningSet.full(T.n)
 
 
 def is_self_dual(ext):

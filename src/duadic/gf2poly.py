@@ -29,9 +29,6 @@ O(n log^2 n) rather than O(n^2):
   FFT_MAX_BITS is split into halves of its longer operand first. Each
   FFT's buffers then stay near 2 MB, and peak memory at m = 19 stays
   where building the GF(2^m) tables already puts it.
-- `autocorrelation(g)` = g * reciprocal(g), the self-orthogonality
-  product, takes one forward transform: its coefficients are the lags
-  sum_i g_i g_{i+s} of g, which the inverse transform of |G|^2 gives.
 - The exact coefficients are integers below 2^18, far inside float64's
   exact range, and the transform's error is far below 1/2. That margin is
   measured, not proven, so the rounding guard requires every coefficient
@@ -107,54 +104,21 @@ def _fft_length(n):
     return best
 
 
-def _spectrum(p, length):
-    coeffs = np.zeros(length)
-    coeffs[: p.bit_length()] = to_bool(p, p.bit_length())
-    return np.fft.rfft(coeffs)
-
-
 def _mul_fft(a, b):
-    """Integer convolution of the coefficient vectors by FFT, then mod 2."""
+    """Integer convolution of the coefficient vectors by FFT, then mod 2.
+    Raises when a coefficient is not within ROUNDING_TOLERANCE of an integer."""
     nbits = a.bit_length() + b.bit_length() - 1
     length = _fft_length(nbits)
-    spectrum = _spectrum(a, length)
-    spectrum *= _spectrum(b, length)
+    spectrum = np.fft.rfft(to_bool(a, a.bit_length()), length)
+    spectrum *= np.fft.rfft(to_bool(b, b.bit_length()), length)
     conv = np.fft.irfft(spectrum, length)[:nbits]
     del spectrum  # freed before the rounding allocates its own buffer
-    return from_bool(_parities(conv))
-
-
-def _parities(conv):
-    """The parities of the rounded coefficients of an FFT convolution, as a
-    bool array. Raises when a coefficient is not within ROUNDING_TOLERANCE
-    of an integer; overwrites conv."""
     exact = np.rint(conv)
     conv -= exact
     worst = float(np.abs(conv, out=conv).max())
     if not worst < ROUNDING_TOLERANCE:
         raise ArithmeticError(f"FFT product lost precision: a coefficient was {worst:.3g} from an integer")
-    return (exact.astype(np.int32) & 1).astype(bool)
-
-
-def autocorrelation(g):
-    """g * reciprocal(g), whose coefficient at x^(deg g + s) is the parity of
-    sum_i g_i g_{i+s}, the overlap of g with x^s g.
-
-    Chosen by mul's size rule: shift-xor below FFT_MIN_BITS and the split
-    product above FFT_MAX_BITS; in between one forward FFT, since the
-    inverse transform of |G|^2 is the circular autocorrelation of g, and
-    the transform is long enough that it does not wrap.
-    """
-    bits = g.bit_length()
-    if bits < FFT_MIN_BITS or 2 * bits > FFT_MAX_BITS:
-        return mul(g, reciprocal(g))
-    length = _fft_length(2 * bits - 1)
-    spectrum = _spectrum(g, length)
-    power = spectrum.real**2 + spectrum.imag**2
-    del spectrum
-    lags = _parities(np.fft.irfft(power, length)[:bits])
-    # the product's coefficient at x^k is lag |k - deg g|
-    return from_bool(np.concatenate((lags[:0:-1], lags)))
+    return from_bool((exact.astype(np.int32) & 1).astype(bool))
 
 
 def divmod_(a, b):

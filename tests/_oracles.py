@@ -16,7 +16,7 @@ def rank(rows):
 
 def matrix_product_is_zero(rows_a, rows_b):
     """Explicit A * B^T = 0 over GF(2); the small-scale oracle for the
-    lag-based self-orthogonality shortcut."""
+    defining-set self-orthogonality test."""
     return all((ra & rb).bit_count() % 2 == 0 for ra in rows_a for rb in rows_b)
 
 

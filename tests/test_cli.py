@@ -190,11 +190,20 @@ def test_table_all_catalog(capsys):
 
 
 def test_table_row_error_inline(capsys):
-    code, payload, _ = run_json(capsys, "table", "-r", "2", "-S", "1", "-m", "4,5")
+    # an m far out of range must not be raised to 2^m - 1 on its way to the error
+    code, payload, _ = run_json(capsys, "table", "-r", "2", "-S", "1", "-m", "4,-3,100000000000,5")
     assert code == 0
     rows = payload["rows"]
     assert rows[0]["error"] and "odd" in rows[0]["error"]
-    assert rows[1]["error"] is None and rows[1]["exact_d"] == 7
+    assert rows[1]["error"] == "m=-3 outside supported range 2..20"
+    assert rows[2]["error"] == "m=100000000000 outside supported range 2..20"
+    assert rows[3]["error"] is None and rows[3]["exact_d"] == 7
+    code, payload, _ = run_json(capsys, "table", "-r", "2", "-S", "all", "-m", "-3")
+    assert code == 0 and {row["error"] for row in payload["rows"]} == {"m=-3 outside supported range 2..20"}
+    # --v is checked only against an m that has rows to build
+    code, payload, _ = run_json(capsys, "table", "-r", "2", "-S", "1", "-m", "1,5", "--v", "1")
+    assert code == 0 and payload["rows"][0]["error"] == "m=1 outside supported range 2..20"
+    assert payload["rows"][1]["error"] is None
 
 
 def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
@@ -225,9 +234,9 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
 
 
 # sha256 of stdout, recorded from the plain per-spec products, the gathered
-# BCH run scans and the two-transform self-orthogonality products that the
-# memoised class-subset products, bitmap rotations and autocorrelation
-# replaced; the output may not change by a byte.
+# BCH run scans and the polynomial self-orthogonality products that the
+# memoised class-subset products, bitmap rotations and the defining-set
+# test replaced; the output may not change by a byte.
 GOLDEN_DIGESTS = [
     ("table -r 8 -S all -m 3,5,7,9", "json", "aaa11b57a1d5ad574a018588c0a3ac6cec106dd3063f239251872e72c9d28f46"),
     ("table -r 8 -S all -m 3,5,7,9", "csv", "d6bd4f30c75d3ee3cc04cdbc1e1754dbdc8aaee6946874d4a00799a2cc04cf60"),

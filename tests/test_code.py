@@ -183,19 +183,31 @@ def test_self_dual_examples():
     assert not is_self_dual(extend(full))  # [8,7]: dimension rules it out
 
 
-@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("m", range(2, 8))
 def test_self_orthogonality_shortcut_matches_matrix_product(m):
+    # random unions of cosets, with and without 0, at several densities so
+    # that T u -T covers Z_n \ {0} in some and misses in others; at odd m
+    # also the catalog specs; and the duals of all of them
     rng = random.Random(m)
-    specs = [(r, s) for r in (2, 4, 8) for s in enumerate_catalog(r, m % r)]
-    for _ in range(15):
-        r = rng.choice([2, 4, 6, 8])
-        specs.append((r, tuple(sorted(rng.sample(range(r), r // 2)))))
+    fld = field(m)
+    leaders = DefiningSet.full(fld.n).coset_leaders()
+    codes = []
+    for density in (0.5, 0.75, 0.9) * 8:
+        chosen = [s for s in leaders if rng.random() < density]
+        codes.append(from_defining_set(fld, DefiningSet.from_leaders(fld.n, chosen)))
+    if m % 2:
+        codes += [_code(r, m, s) for r in (2, 4, 8) for s in enumerate_catalog(r, m % r)]
+    codes += [dual(c) for c in codes]
     from duadic.code import _self_orthogonal
 
-    for r, s in specs:
-        e = extend(_code(r, m, s))
+    seen = set()
+    for c in codes:
+        e = extend(c)
         rows = e.generator_rows()
-        assert _self_orthogonal(e) == matrix_product_is_zero(rows, rows), (r, s)
+        expected = matrix_product_is_zero(rows, rows)
+        assert _self_orthogonal(e) == expected, c.T.coset_leaders()
+        seen.add((expected, 0 in c.T))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("m", [3, 5])

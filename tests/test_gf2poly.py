@@ -230,25 +230,6 @@ def test_fft_and_split_paths_match_shift_xor(a, b):
         assert gf2poly._mul_fft(a, b) == _shift_xor(a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_polys(600))
-def test_autocorrelation_is_the_product_with_the_reciprocal(g):
-    # thresholds shrunk so that g takes the shift-xor, one-transform and split paths
-    with mock.patch.object(gf2poly, "FFT_MIN_BITS", 8), mock.patch.object(gf2poly, "FFT_MAX_BITS", 256):
-        assert gf2poly.autocorrelation(g) == _shift_xor(g, reciprocal(g))
-
-
-@pytest.mark.parametrize("bits", [
-    gf2poly.FFT_MIN_BITS - 1, gf2poly.FFT_MIN_BITS, 3 * gf2poly.FFT_MIN_BITS,
-    gf2poly.FFT_MAX_BITS // 2, gf2poly.FFT_MAX_BITS // 2 + 1,
-])
-def test_autocorrelation_matches_mul_across_the_size_thresholds(bits):
-    rng = random.Random(bits)
-    g = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-    assert gf2poly.autocorrelation(g) == mul(g, reciprocal(g))
-    assert gf2poly.autocorrelation(g << 5) == mul(g << 5, reciprocal(g << 5))
-
-
 def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
     real_irfft = np.fft.irfft
 
@@ -263,8 +244,6 @@ def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", perturbed)
     with pytest.raises(ArithmeticError, match="precision"):
         mul(a, b)
-    with pytest.raises(ArithmeticError, match="precision"):
-        gf2poly.autocorrelation(a)
     monkeypatch.setattr(np.fft, "irfft", real_irfft)
     assert mul(a, b) == expected
 
