@@ -2,15 +2,13 @@
 
 Commands: construct, catalog, table, verify-lemmas, mindist. Output formats:
 text (default), json (byte-deterministic for a fixed config: sorted keys),
-csv (a flattened projection of the json rows). DUADIC_THREADS sets the worker
-processes for table rows, capped at the CPU count.
+csv (a flattened projection of the json rows).
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 
@@ -106,15 +104,6 @@ def _parse_v_candidates(text, n):
         if math.gcd(v % n, n) != 1:
             raise UsageError(f"--v candidate {v} is not a unit mod {n}")
     return vs
-
-
-def _workers():
-    """Worker processes from DUADIC_THREADS: at least 1, at most the CPU count."""
-    text = os.environ.get("DUADIC_THREADS", "1") or "1"
-    try:
-        return min(max(1, int(text)), os.cpu_count() or 1)
-    except ValueError:
-        raise UsageError(f"DUADIC_THREADS must be an integer, got {text!r}") from None
 
 
 def _fmt_seq(seq):
@@ -338,35 +327,27 @@ def cmd_table(args):
     for m in m_list:
         specs = _table_specs(args.r, m, args.S, args.unchecked)
         # only an m with a valid spec has an n to check --v against and rows
-        # to build; its class polynomials are built once and shared by its
-        # rows (also across worker processes)
+        # to build; its class polynomials are built once and shared by its rows
         valid = [spec for _, spec, _ in specs if spec is not None]
         v_candidates = _parse_v_candidates(args.v, valid[0].n) if valid else None
         polys = gf2poly.class_polys(field(m), args.r) if valid else None
         tasks.extend((args.r, m, s, error, spec, polys, v_candidates) for s, spec, error in specs)
-    workers = _workers()
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: every other command skips its cost
-
-        # a chunk of tasks is pickled at once, so its rows share one copy of
-        # the class polynomials and of the subset products memoised in it
-        chunk = -(-len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, tasks, chunksize=chunk))
-    else:
-        rows = [_table_row(t) for t in tasks]
+    rows = [_table_row(t) for t in tasks]  # every --v is checked before any row is computed
     payload = {"command": "table", "r": args.r, "S": args.S, "m_list": m_list, "rows": rows}
     return 0, payload, rows, TABLE_COLUMNS, lambda: _render_table(TABLE_COLUMNS, rows)
 
 
 def cmd_verify_lemmas(args):
     m_list = _parse_int_list(args.m, "-m")
+    try:
+        check_r(args.r)  # a bad r is an error even without m values, and m % r needs r != 0
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     specs = []  # every m is validated before any lemma is checked
     for m in m_list:
         if m % 2 == 0:
             raise UsageError(f"-m values must be odd, got {m}")
         try:
-            check_r(args.r)  # before m % r
             specs.extend(WeightClassSpec(r=args.r, m=m, S=s) for s in enumerate_catalog(args.r, m % args.r))
         except ValueError as exc:
             raise UsageError(str(exc)) from None

@@ -247,17 +247,12 @@ class ClassPolys:
     """The class polynomials P_c, c in Z_r, of one field, with a memo of
     their subset products.
 
-    The memo lives as long as the set, which one command builds per field;
-    a pickled set, such as a table worker's task, carries the polynomials
-    and an empty memo.
+    The memo lives as long as the set, which one command builds per field.
     """
 
     def __init__(self, polys):
         self.polys = tuple(polys)
         self._memo = {}
-
-    def __reduce__(self):
-        return ClassPolys, (self.polys,)
 
     def product(self, classes):
         """prod_{c in classes} P_c for a strictly increasing sequence of classes."""

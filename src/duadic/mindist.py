@@ -189,9 +189,11 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
     systematic form, and scans all codewords built from messages of weight
     at most 3. Deterministic for a fixed seed; effort 0 reports the first
     generator row itself as the upper witness and reads no other row.
-    Raises ValueError before allocating when the k x n search matrix and
-    its rows would exceed ISD_MEMORY_BUDGET bytes.
+    Raises ValueError for a negative effort, and before allocating when the
+    k x n search matrix and its rows would exceed ISD_MEMORY_BUDGET bytes.
     """
+    if effort < 0:
+        raise ValueError(f"effort must be a non-negative integer, got {effort}")
     n, k = c.n, c.k
     need = k * ((n + 7) // 8) + k * n
     if effort and need > ISD_MEMORY_BUDGET:

@@ -210,7 +210,6 @@ def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
     def broken_dual(code):
         raise AssertionError("generator times check polynomial is not x^n + 1")
 
-    monkeypatch.delenv("DUADIC_THREADS", raising=False)
     monkeypatch.setattr(cli, "dual", broken_dual)
     with pytest.raises(AssertionError, match="check polynomial"):
         main(["table", "-r", "2", "-S", "1", "-m", "3,5", "--format", "json"])
@@ -225,7 +224,6 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
         calls.append(T)
         return generator_poly(fld, T)
 
-    monkeypatch.delenv("DUADIC_THREADS", raising=False)
     monkeypatch.setattr(gf2poly, "generator_poly", counted)
     code, payload, _ = run_json(capsys, "table", "-r", "16", "-S", "all", "-m", "9")
     assert code == 0 and len(payload["rows"]) == 256
@@ -236,7 +234,9 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
 # sha256 of stdout, recorded from the plain per-spec products, the gathered
 # BCH run scans and the polynomial self-orthogonality products that the
 # memoised class-subset products, bitmap rotations and the defining-set
-# test replaced; the output may not change by a byte.
+# test replaced; the catalog, verify-lemmas, mindist and `--v` table digests
+# were recorded before the table worker pool was removed. The output may not
+# change by a byte.
 GOLDEN_DIGESTS = [
     ("table -r 8 -S all -m 3,5,7,9", "json", "aaa11b57a1d5ad574a018588c0a3ac6cec106dd3063f239251872e72c9d28f46"),
     ("table -r 8 -S all -m 3,5,7,9", "csv", "d6bd4f30c75d3ee3cc04cdbc1e1754dbdc8aaee6946874d4a00799a2cc04cf60"),
@@ -244,12 +244,17 @@ GOLDEN_DIGESTS = [
     ("table -r 16 -S all -m 9", "csv", "83b3be85019eee0f0d40d9edf2e81b2a8722fa806173ec737e5dfefe49aa2196"),
     ("construct -r 8 -m 9 -S 0,2,3,4", "json", "8448e39cb9f27f77c9b0b507068fbb7d56781bde323b7d2d2f51e3c84a8eed6b"),
     ("construct -r 8 -m 9 -S 0,2,3,4", "csv", "b0d2c77fda49ac88a5bbcbb36a6f2a01cf15310a246c9ff0b31c71563d37571c"),
+    ("catalog -r 8 -t 3", "json", "c912085f5175dcadf20553176c104c25033f1fe904a6ae4f73360bb7483fe1f8"),
+    ("verify-lemmas -r 8 -m 9,11", "json", "42837b9ea2f4f8dd48dc8b3827514c588708deb847a468df7e35528e04b97dbd"),
+    ("mindist -r 2 -m 5 -S 1 --code dual", "json", "654f0a00051bc7f7bbd01b4b2f794a7e032e1d44e0f71bb9a12133006209db30"),
+    ("mindist -r 2 -m 13 -S 1", "json", "22cbf78578c853491b88fa9b62f3ad2e3f50c6051d0800b3f984c0e93cec52ad"),
+    ("mindist -r 2 -m 13 -S 1", "csv", "8874f22c21955f6a3b323caf25455209cf22280930aee0f11fa08a35d4caaf29"),
+    ("table -r 8 -S all -m 3,5 --v 3", "json", "1f6d2ab24c8ffe6264d2c1c1b277642795f6dee439156a41ac050e3f6a3d950f"),
 ]
 
 
 @pytest.mark.parametrize("command,fmt,digest", GOLDEN_DIGESTS)
-def test_output_matches_the_recorded_digest(capsys, monkeypatch, command, fmt, digest):
-    monkeypatch.delenv("DUADIC_THREADS", raising=False)
+def test_output_matches_the_recorded_digest(capsys, command, fmt, digest):
     code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -388,32 +393,25 @@ def test_no_command_prints_help(capsys):
     assert code == 2 and "construct" in out
 
 
-def test_table_parallel_matches_sequential(capsys, monkeypatch):
-    args = ("table", "-r", "4", "-S", "all", "-m", "5,7", "--format", "json")
+@pytest.mark.parametrize("argv", [
+    ("table", "-r", "4", "-S", "all", "-m", "5,7"),
+    ("mindist", "-r", "2", "-m", "5", "-S", "1"),
+], ids=["table", "mindist"])
+def test_output_ignores_the_retired_threads_variable(capsys, monkeypatch, argv):
+    # DUADIC_THREADS once chose a worker pool for table rows; no value of it
+    # changes the output or the exit code now
     monkeypatch.delenv("DUADIC_THREADS", raising=False)
-    _, sequential, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("DUADIC_THREADS", "3")
-    _, parallel, _ = run_cli(capsys, *args)
-    assert sequential == parallel
+    unset = run_cli(capsys, *argv, "--format", "json")
+    assert unset[0] == 0 and unset[2] == ""
+    for text in ("abc", "3"):
+        monkeypatch.setenv("DUADIC_THREADS", text)
+        assert run_cli(capsys, *argv, "--format", "json") == unset
 
 
 def test_text_format_default(capsys):
     code, out, _ = run_cli(capsys, "construct", "-r", "2", "-m", "5", "-S", "1")
     assert code == 0
     assert "[31,16]" in out and "duadic     yes" in out
-
-
-def test_non_integer_threads_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("DUADIC_THREADS", "abc")
-    code, out, err = run_cli(capsys, "table", "-r", "4", "-S", "0,1", "-m", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "DUADIC_THREADS" in err
-
-
-def test_mindist_does_not_read_threads(capsys, monkeypatch):
-    monkeypatch.setenv("DUADIC_THREADS", "abc")
-    code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "5", "-S", "1")
-    assert code == 0 and payload["bound"]["lower"] == 7
 
 
 def test_negative_seed_is_a_usage_error(capsys):
@@ -436,16 +434,6 @@ def test_negative_effort_is_a_usage_error(capsys):
     assert err.startswith("error: ") and "--effort" in err
 
 
-def test_threads_are_capped_at_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for text, expected in (("64", 2), ("2", 2), ("1", 1), ("0", 1), ("-5", 1), ("", 1)):
-        monkeypatch.setenv("DUADIC_THREADS", text)
-        assert cli._workers() == expected
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
-    monkeypatch.setenv("DUADIC_THREADS", "8")
-    assert cli._workers() == 1
-
-
 @pytest.mark.parametrize("argv,message", [
     (("verify-lemmas", "-r", "16", "-m", "21"), "m=21 outside supported range 2..20"),
     (("verify-lemmas", "-r", "16", "-m", "1"), "m=1 outside supported range 2..20"),
@@ -454,6 +442,7 @@ def test_threads_are_capped_at_the_cpu_count(monkeypatch):
     (("verify-lemmas", "-r", "0", "-m", "9"), "r must be a positive even integer, got 0"),
     (("table", "-r", "0", "-S", "all", "-m", "9"), "r must be a positive even integer, got 0"),
     (("table", "-r", "3", "-S", "0", "-m", "9"), "r must be a positive even integer, got 3"),
+    (("verify-lemmas", "-r", "3", "-m", ""), "r must be a positive even integer, got 3"),
 ])
 def test_bad_r_or_m_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -364,6 +364,15 @@ def test_bounded_search_memory_admission():
         assert bounded_min_distance(c, effort=1).upper < c.g.bit_count()
 
 
+def test_bounded_negative_effort_is_refused_before_any_work():
+    c = _code(2, 7, (1,))
+    with mock.patch.object(mindist, "ISD_MEMORY_BUDGET", 0), \
+            mock.patch.object(type(c), "generator_row", side_effect=AssertionError("a generator row was read")):
+        for effort in (-1, -3):
+            with pytest.raises(ValueError, match=f"effort must be a non-negative integer, got {effort}"):
+                bounded_min_distance(c, effort=effort)
+
+
 def test_bounded_on_extended_rounds_lower_to_even():
     e = extend(_code(2, 7, (1,)))
     found = bounded_min_distance(e, effort=5, seed=3)
