@@ -18,6 +18,12 @@ O(n log^2 n) rather than O(n^2):
   [0, r) in balanced halves and memoises the product of every subset it
   meets, so the specs of one field share their sub-products and a
   polynomial of a catalog spec costs about one product of two halves.
+- Negation pairs the polynomials. n - j complements the m-bit expansion
+  of j, so -W_c = W_{(m-c) mod r}, and the minimal polynomial of
+  alpha^{-j} is the reciprocal of that of alpha^j. `class_polys` builds
+  one class of each pair {c, (m-c) mod r} and reverses it for the other
+  (at odd m no class pairs with itself), and `_minimal_poly_table`
+  expands one coset of each pair {C, -C}.
 - `mul` picks its method by operand size alone. Shift-xor costs one
   big-int shift and xor per set bit of the sparser operand: quadratic, but
   with no fixed cost, so below FFT_MIN_BITS it beats the transform. That
@@ -157,7 +163,9 @@ def _minimal_poly_table(fld):
     Each coset's product prod (x - alpha^i) is expanded in GF(2^m)[x] with
     numpy over a (#cosets x size) table of int32 exponents, all cosets of
     one size at a time, in chunks of _TABLE_CHUNK cosets so the
-    temporaries stay small beside the field's own tables.
+    temporaries stay small beside the field's own tables. Only a coset C
+    whose leader is at most n - max(C), the leader of -C, is expanded; the
+    reversed masks fill the entries of -C, wherever its chunk lies.
     """
     n, m = fld.n, fld.m
     leaders = np.array(DefiningSet.full(n).coset_leaders(), dtype=np.int32)
@@ -169,13 +177,17 @@ def _minimal_poly_table(fld):
         orbits[:, 0] = chunk
         for k in range(1, m):
             orbits[:, k] = 2 * orbits[:, k - 1] % n
+        orbits = orbits[chunk <= n - orbits.max(axis=1)]
         # m doublings run round a coset of size d exactly m / d times
         sizes = m // (orbits == orbits[:, :1]).sum(axis=1)
         for size in np.unique(sizes).tolist():
             exps = orbits[sizes == size, :size]
             polys = _expand_roots(fld, exps)
+            shifts = np.arange(size + 1, dtype=np.uint32)
+            reversed_polys = np.bitwise_or.reduce(((polys[:, None] >> shifts) & 1) << shifts[::-1], axis=1)
             for k in range(size):
                 table[exps[:, k]] = polys
+                table[(n - exps[:, k]) % n] = reversed_polys
     return table
 
 
@@ -279,8 +291,21 @@ class ClassPolys:
 def class_polys(fld, r):
     """The class polynomials P_c = prod_{j in W_c} (x - alpha^j), c in Z_r,
     where W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, as a ClassPolys; an
-    empty class gives 1."""
-    return ClassPolys(generator_poly(fld, w) for w in weight_classes(fld.m, r))
+    empty class gives 1.
+
+    -W_c = W_{(m-c) mod r}, so of each pair of classes only the smaller
+    index is built and its partner is its reciprocal; a class that is its
+    own partner (2c = m mod r, only at even m) is built directly.
+    """
+    m = fld.m
+    polys = [None] * r
+    for c, w in enumerate(weight_classes(m, r)):
+        partner = (m - c) % r
+        if c <= partner:
+            polys[c] = generator_poly(fld, w)
+            if partner != c:
+                polys[partner] = reciprocal(polys[c])
+    return ClassPolys(polys)
 
 
 def check_poly(g, n):

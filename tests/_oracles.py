@@ -6,7 +6,8 @@ import numpy as np
 
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
 from duadic.code import row_reduce
-from duadic.cyclotomic import complement_spec, defining_set
+from duadic.cyclotomic import complement_spec, defining_set, weight_classes
+from duadic.gf2poly import generator_poly
 from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
 
 
@@ -18,6 +19,12 @@ def matrix_product_is_zero(rows_a, rows_b):
     """Explicit A * B^T = 0 over GF(2); the small-scale oracle for the
     defining-set self-orthogonality test."""
     return all((ra & rb).bit_count() % 2 == 0 for ra in rows_a for rb in rows_b)
+
+
+def class_polys_direct(fld, r):
+    """Every class polynomial P_c, c in Z_r, as the product of the minimal
+    polynomials of its own cosets, without the pairing of W_c with -W_c."""
+    return tuple(generator_poly(fld, w) for w in weight_classes(fld.m, r))
 
 
 def evaluate(fld, p, x):

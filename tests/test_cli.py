@@ -228,15 +228,21 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "table", "-r", "16", "-S", "all", "-m", "9")
     assert code == 0 and len(payload["rows"]) == 256
     assert all(row["error"] is None for row in payload["rows"])
-    assert len(calls) == 16  # one per weight class, shared by all 256 rows
+    # one per pair {c, (9 - c) mod 16}, shared by all 256 rows; P_{(9-c) mod 16} is the reciprocal of P_c
+    assert len(calls) == 8
+    calls.clear()
+    code, payload, _ = run_json(capsys, "table", "-r", "4", "-S", "0,1", "-m", "10", "--unchecked")
+    assert code == 0 and payload["rows"][0]["error"] is None
+    assert len(calls) == 3  # classes 1 and 3 pair with themselves, 0 with 2
 
 
 # sha256 of stdout, recorded from the plain per-spec products, the gathered
 # BCH run scans and the polynomial self-orthogonality products that the
 # memoised class-subset products, bitmap rotations and the defining-set
 # test replaced; the catalog, verify-lemmas, mindist and `--v` table digests
-# were recorded before the table worker pool was removed. The output may not
-# change by a byte.
+# were recorded before the table worker pool was removed, and the even-m and
+# empty-class digests before class polynomials were paired under negation.
+# The output may not change by a byte.
 GOLDEN_DIGESTS = [
     ("table -r 8 -S all -m 3,5,7,9", "json", "aaa11b57a1d5ad574a018588c0a3ac6cec106dd3063f239251872e72c9d28f46"),
     ("table -r 8 -S all -m 3,5,7,9", "csv", "d6bd4f30c75d3ee3cc04cdbc1e1754dbdc8aaee6946874d4a00799a2cc04cf60"),
@@ -250,6 +256,10 @@ GOLDEN_DIGESTS = [
     ("mindist -r 2 -m 13 -S 1", "json", "22cbf78578c853491b88fa9b62f3ad2e3f50c6051d0800b3f984c0e93cec52ad"),
     ("mindist -r 2 -m 13 -S 1", "csv", "8874f22c21955f6a3b323caf25455209cf22280930aee0f11fa08a35d4caaf29"),
     ("table -r 8 -S all -m 3,5 --v 3", "json", "1f6d2ab24c8ffe6264d2c1c1b277642795f6dee439156a41ac050e3f6a3d950f"),
+    # even m, where some classes pair with themselves, and r > m, where some classes are empty
+    ("construct -r 4 -m 10 -S 0,1 --unchecked", "json", "618d8a5aa4bba62ace43ddb8bee76cfb7a5f090976d7431bf2e753dcd6bf1d30"),
+    ("table -r 4 -S 0,1 -m 6,8,10 --unchecked", "json", "d470266bfab2f5c196b59441e515b0f4c4190fd109f612b9f1aa7aea07816b6e"),
+    ("construct -r 16 -m 6 -S 1,2,3 --unchecked", "json", "1ab33f85b1601d2aef4ba22f6c08b7ef58db40fbfea7289233898ec4bc720e14"),
 ]
 
 

@@ -26,7 +26,7 @@ from duadic.gf2poly import (
     x_pow_plus_one,
 )
 
-from _oracles import eval_at_powers, evaluate
+from _oracles import class_polys_direct, eval_at_powers, evaluate
 
 
 def test_mul_basics():
@@ -256,6 +256,35 @@ def test_minimal_poly_table_matches_scalar_expansion(m):
         expected = _scalar_minimal_poly(f, cs.elements)
         assert minimal_poly(f, cs) == expected
         assert all(gf2poly._minimal_poly_table(f)[e] == expected for e in cs.elements)
+
+
+@pytest.mark.parametrize("m", range(8, 13))
+def test_chunked_minimal_poly_table_matches_scalar_expansion(m):
+    # chunks of 1, 3 and 64 cosets put many cosets and their negations in different chunks
+    f = field(m)
+    cosets = [coset(s, f.n) for s in DefiningSet.full(f.n).coset_leaders()]
+    expected = np.empty(f.n, dtype=np.uint32)
+    for cs in cosets:
+        expected[list(cs.elements)] = _scalar_minimal_poly(f, cs.elements)
+    # a coset is expanded unless it is the negation of one with a smaller leader
+    expanded = sum(cs.leader <= f.n - max(cs.elements) for cs in cosets)
+    for chunk in (1, 3, 64):
+        with mock.patch.object(gf2poly, "_TABLE_CHUNK", chunk), \
+                mock.patch.object(gf2poly, "_expand_roots", wraps=gf2poly._expand_roots) as expand:
+            table = gf2poly._minimal_poly_table.__wrapped__(f)
+        assert table.tolist() == expected.tolist()
+        assert sum(len(call.args[1]) for call in expand.call_args_list) == expanded
+
+
+@pytest.mark.parametrize("r", range(2, 17, 2))
+def test_class_polys_build_one_class_of_each_negation_pair(r):
+    # m = 2..13 covers self-paired classes (2c = m mod r, even m) and empty ones (r > m)
+    for m in range(2, 14):
+        f = field(m)
+        with mock.patch.object(gf2poly, "generator_poly", wraps=gf2poly.generator_poly) as built:
+            polys = gf2poly.class_polys(f, r).polys
+        assert polys == class_polys_direct(f, r)
+        assert built.call_count == len({min(c, (m - c) % r) for c in range(r)})
 
 
 def test_expand_roots_keeps_zero_coefficients_zero():

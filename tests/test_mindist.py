@@ -108,8 +108,8 @@ def test_partitioned_scan_matches_single_pass():
 
 
 def test_worker_pool_determinism():
-    # the message space is divided into transform blocks rather than worker
-    # ranges; the result must not depend on the division or on the call
+    # the result is the same on repeated calls and for every division of the
+    # message space into (LOW_BITS, BLOCK_BITS) transform blocks
     c = _code(2, 4 + 1, (1,))
     first = _results(c, mindist.LOW_BITS, mindist.BLOCK_BITS)[1:]
     assert _results(c, mindist.LOW_BITS, mindist.BLOCK_BITS)[1:] == first
