@@ -278,8 +278,8 @@ def cmd_catalog(args):
     return exit_code, payload, rows, CATALOG_COLUMNS, text
 
 
-def _table_row(task):
-    r, m, s, error, spec, polys, v_candidates = task  # error: why this row has no spec, else None
+def _table_row(r, m, s, error, spec, polys, v_candidates):
+    """One table row; error says why the row has no spec, else None."""
     base = {col: None for col in TABLE_COLUMNS}
     base.update({"r": r, "m": m, "S": _fmt_seq(s), "error": error})
     if error is not None:
@@ -323,17 +323,18 @@ def cmd_table(args):
         check_r(args.r)  # a bad r fails every row, and m % r needs r != 0
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    tasks = []
+    r = args.r
+    per_m = []  # every --v is checked before any row is computed
     for m in m_list:
-        specs = _table_specs(args.r, m, args.S, args.unchecked)
+        specs = _table_specs(r, m, args.S, args.unchecked)
         # only an m with a valid spec has an n to check --v against and rows
         # to build; its class polynomials are built once and shared by its rows
         valid = [spec for _, spec, _ in specs if spec is not None]
         v_candidates = _parse_v_candidates(args.v, valid[0].n) if valid else None
-        polys = gf2poly.class_polys(field(m), args.r) if valid else None
-        tasks.extend((args.r, m, s, error, spec, polys, v_candidates) for s, spec, error in specs)
-    rows = [_table_row(t) for t in tasks]  # every --v is checked before any row is computed
-    payload = {"command": "table", "r": args.r, "S": args.S, "m_list": m_list, "rows": rows}
+        polys = gf2poly.class_polys(field(m), r) if valid else None
+        per_m.append((m, specs, polys, v_candidates))
+    rows = [_table_row(r, m, s, error, spec, polys, v) for m, specs, polys, v in per_m for s, spec, error in specs]
+    payload = {"command": "table", "r": r, "S": args.S, "m_list": m_list, "rows": rows}
     return 0, payload, rows, TABLE_COLUMNS, lambda: _render_table(TABLE_COLUMNS, rows)
 
 

@@ -8,7 +8,7 @@ bitmap.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from ._bits import from_bool as _bool_to_bits
 from ._bits import to_bool as _bits_to_bool
@@ -21,6 +21,16 @@ def weight2(j):
     if j < 0:
         raise ValueError("weight2 needs a nonnegative integer")
     return int(j).bit_count()
+
+
+def rotations(x, m):
+    """Yield x * 2^k mod n, n = 2^m - 1, for k = 0..m-1 over an int32 array
+    of residues: doubling mod n rotates the m-bit residue left by one."""
+    n = (1 << m) - 1
+    yield x
+    for _ in range(m - 1):
+        x = (x << 1 | x >> (m - 1)) & n
+        yield x
 
 
 @dataclass(frozen=True)
@@ -139,17 +149,11 @@ class DefiningSet:
     def coset_leaders(self):
         """Leaders of the cosets making up this set, ascending.
 
-        Doubling mod n = 2^m - 1 rotates the m-bit residue left by one, so
-        each member's orbit minimum is taken over m - 1 rotations. The
+        Each member's orbit minimum is taken over its m rotations. The
         leader of an orbit is its smallest member in the set.
         """
         members = self.indices().astype(np.int32)
-        m = self.n.bit_length()
-        orbit_min = members.copy()
-        x = members
-        for _ in range(m - 1):
-            x = (x << 1 | x >> (m - 1)) & self.n
-            np.minimum(orbit_min, x, out=orbit_min)
+        orbit_min = reduce(np.minimum, rotations(members, self.n.bit_length()))
         _, first = np.unique(orbit_min, return_index=True)
         return np.sort(members[first]).tolist()
 

@@ -5,8 +5,9 @@ A generator or check polynomial at n = 2^m - 1 is a product of up to n
 linear factors over GF(2^m), so the path that builds it costs
 O(n log^2 n) rather than O(n^2):
 
-- The minimal polynomials of all cosets of a field are expanded together
-  in one vectorised pass and kept per field (`_minimal_poly_table`).
+- The minimal polynomials of all cosets of GF(2^m) are expanded together
+  in one vectorised pass over the orbits of `cyclotomic.rotations` and
+  kept per m (`_minimal_poly_table`).
 - `generator_poly` multiplies them through a balanced product tree.
 - The code of a weight-class spec (r, m, S) needs no per-coset product.
   T_S is the disjoint union of the classes W_c, c in S, and Z_n \\ T_S
@@ -43,11 +44,12 @@ O(n log^2 n) rather than O(n^2):
 """
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from ._bits import from_bool, to_bool
 from ._numpy import np
-from .cyclotomic import DefiningSet, coset, weight_classes
+from .cyclotomic import coset, rotations, weight_classes
+from .gf2m import field
 
 NEG_INF = float("-inf")
 
@@ -59,9 +61,6 @@ FFT_MAX_BITS = 1 << 18
 
 # Largest allowed distance of an FFT coefficient from the nearest integer.
 ROUNDING_TOLERANCE = 0.25
-
-# Cosets expanded per numpy pass when a field's minimal polynomials are built.
-_TABLE_CHUNK = 2048
 
 
 def degree(p):
@@ -157,37 +156,32 @@ def x_pow_plus_one(n):
 
 
 @lru_cache(maxsize=None)
-def _minimal_poly_table(fld):
-    """Minimal polynomial of alpha^j for every j in Z_n, as uint32 bitmasks.
+def _minimal_poly_table(m):
+    """Minimal polynomial of alpha^j in field(m) for every j in Z_n, as uint32 bitmasks.
 
-    Each coset's product prod (x - alpha^i) is expanded in GF(2^m)[x] with
-    numpy over a (#cosets x size) table of int32 exponents, all cosets of
-    one size at a time, in chunks of _TABLE_CHUNK cosets so the
-    temporaries stay small beside the field's own tables. Only a coset C
-    whose leader is at most n - max(C), the leader of -C, is expanded; the
-    reversed masks fill the entries of -C, wherever its chunk lies.
+    The leaders of Z_n are the residues equal to their own orbit minimum,
+    and orbits[:, k] = leader * 2^k mod n. Each coset's product
+    prod (x - alpha^i) is expanded in GF(2^m)[x] with numpy over its row of
+    int32 exponents, all cosets of one size at a time. Only a coset C whose
+    leader is at most n - max(C), the leader of -C, is expanded; the
+    reversed masks fill the entries of -C.
     """
-    n, m = fld.n, fld.m
-    leaders = np.array(DefiningSet.full(n).coset_leaders(), dtype=np.int32)
+    fld, n = field(m), (1 << m) - 1
+    residues = np.arange(n, dtype=np.int32)
+    leaders = residues[reduce(np.minimum, rotations(residues, m)) == residues]
+    orbits = np.stack(list(rotations(leaders, m)), axis=1)
+    orbits = orbits[leaders <= n - orbits.max(axis=1)]
+    # m doublings run round a coset of size d exactly m / d times
+    sizes = m // (orbits == orbits[:, :1]).sum(axis=1)
     table = np.empty(n, dtype=np.uint32)
-    for start in range(0, len(leaders), _TABLE_CHUNK):
-        chunk = leaders[start : start + _TABLE_CHUNK]
-        # orbits[:, k] = leader * 2^k mod n
-        orbits = np.empty((len(chunk), m), dtype=np.int32)
-        orbits[:, 0] = chunk
-        for k in range(1, m):
-            orbits[:, k] = 2 * orbits[:, k - 1] % n
-        orbits = orbits[chunk <= n - orbits.max(axis=1)]
-        # m doublings run round a coset of size d exactly m / d times
-        sizes = m // (orbits == orbits[:, :1]).sum(axis=1)
-        for size in np.unique(sizes).tolist():
-            exps = orbits[sizes == size, :size]
-            polys = _expand_roots(fld, exps)
-            shifts = np.arange(size + 1, dtype=np.uint32)
-            reversed_polys = np.bitwise_or.reduce(((polys[:, None] >> shifts) & 1) << shifts[::-1], axis=1)
-            for k in range(size):
-                table[exps[:, k]] = polys
-                table[(n - exps[:, k]) % n] = reversed_polys
+    for size in np.unique(sizes).tolist():
+        exps = orbits[sizes == size, :size]
+        polys = _expand_roots(fld, exps)
+        shifts = np.arange(size + 1, dtype=np.uint32)
+        reversed_polys = np.bitwise_or.reduce(((polys[:, None] >> shifts) & 1) << shifts[::-1], axis=1)
+        for k in range(size):
+            table[exps[:, k]] = polys
+            table[(n - exps[:, k]) % n] = reversed_polys
     return table
 
 
@@ -221,7 +215,7 @@ def minimal_poly(fld, cs):
     if cs.n != n:
         raise ValueError(f"coset mod {cs.n} does not match field of order {n + 1}")
     members = set(cs.elements)
-    p = _minimal_poly_table(fld).item(cs.elements[0] % n) if members else 0
+    p = _minimal_poly_table(fld.m).item(cs.elements[0] % n) if members else 0
     if len(cs.elements) != p.bit_length() - 1 or {2 * e % n for e in members} != members:
         raise ValueError(f"coset {cs.elements} is not a doubling orbit mod {n}")
     return p

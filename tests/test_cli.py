@@ -206,6 +206,16 @@ def test_table_row_error_inline(capsys):
     assert payload["rows"][1]["error"] is None
 
 
+def test_table_checks_every_v_before_any_row(capsys, monkeypatch):
+    # 7 divides 511, so the m = 9 check fails; the m = 5 row must not be analysed first
+    def analyze(*args):
+        raise AssertionError("a row was analysed before every --v was checked")
+
+    monkeypatch.setattr(cli, "_analyze", analyze)
+    code, out, err = run_cli(capsys, "table", "-r", "2", "-S", "1", "-m", "5,9", "--v", "7")
+    assert (code, out) == (2, "") and "7 is not a unit mod 511" in err
+
+
 def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
     def broken_dual(code):
         raise AssertionError("generator times check polynomial is not x^n + 1")
@@ -260,6 +270,8 @@ GOLDEN_DIGESTS = [
     ("construct -r 4 -m 10 -S 0,1 --unchecked", "json", "618d8a5aa4bba62ace43ddb8bee76cfb7a5f090976d7431bf2e753dcd6bf1d30"),
     ("table -r 4 -S 0,1 -m 6,8,10 --unchecked", "json", "d470266bfab2f5c196b59441e515b0f4c4190fd109f612b9f1aa7aea07816b6e"),
     ("construct -r 16 -m 6 -S 1,2,3 --unchecked", "json", "1ab33f85b1601d2aef4ba22f6c08b7ef58db40fbfea7289233898ec4bc720e14"),
+    # a field above m = 13: even m with self-paired classes, 14601 cosets
+    ("construct -r 4 -m 18 -S 0,1 --unchecked", "json", "69fb9c9e4e8ad44b5eedba991c17358a07bc3f8d940cd775a11e02544379bba7"),
 ]
 
 

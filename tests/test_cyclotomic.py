@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from duadic.cyclotomic import (
     complement_spec,
     coset,
     defining_set,
+    rotations,
     weight2,
 )
 
@@ -202,3 +205,21 @@ def _subsets(draw, max_m):
 def test_coset_leaders_match_orbit_walk(t):
     # doubling-closed sets and arbitrary ones alike
     assert t.coset_leaders() == _scalar_coset_leaders(t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 20).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 2), min_size=1, max_size=50))))
+def test_rotation_minimum_is_the_coset_leader(m_residues):
+    m, residues = m_residues
+    n = (1 << m) - 1
+    orbit_min = reduce(np.minimum, rotations(np.array(residues, dtype=np.int32), m))
+    assert orbit_min.tolist() == [coset(s, n).leader for s in residues]
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_fixed_points_of_the_rotation_minimum_are_the_leaders_of_z_n(m):
+    n = (1 << m) - 1
+    residues = np.arange(n, dtype=np.int32)
+    fixed = residues[reduce(np.minimum, rotations(residues, m)) == residues]
+    assert fixed.tolist() == DefiningSet.full(n).coset_leaders()

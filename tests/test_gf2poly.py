@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from duadic import gf2poly
 from duadic.code import dual, from_defining_set
 from duadic.cyclotomic import CyclotomicCoset, DefiningSet, WeightClassSpec, coset, defining_set
-from duadic.gf2m import field
+from duadic.gf2m import GF2m, field
 from duadic.gf2poly import (
     check_poly,
     degree,
@@ -248,32 +248,51 @@ def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
     assert mul(a, b) == expected
 
 
-@pytest.mark.parametrize("m", range(2, 12))
+@pytest.mark.parametrize("m", range(2, 14))
 def test_minimal_poly_table_matches_scalar_expansion(m):
+    # even m has self-paired cosets (C = -C)
     f = field(m)
-    for s in DefiningSet.full(f.n).coset_leaders():
-        cs = coset(s, f.n)
+    cosets = [coset(s, f.n) for s in DefiningSet.full(f.n).coset_leaders()]
+    with mock.patch.object(gf2poly, "_expand_roots", wraps=gf2poly._expand_roots) as expand:
+        table = gf2poly._minimal_poly_table.__wrapped__(m)
+    for cs in cosets:
         expected = _scalar_minimal_poly(f, cs.elements)
         assert minimal_poly(f, cs) == expected
-        assert all(gf2poly._minimal_poly_table(f)[e] == expected for e in cs.elements)
+        assert all(table[e] == expected for e in cs.elements)
+    # a coset is expanded unless it is the negation of one with a smaller leader
+    expanded = sum(cs.leader <= f.n - max(cs.elements) for cs in cosets)
+    assert sum(len(call.args[1]) for call in expand.call_args_list) == expanded
 
 
 @pytest.mark.parametrize("m", range(8, 13))
 def test_chunked_minimal_poly_table_matches_scalar_expansion(m):
-    # chunks of 1, 3 and 64 cosets put many cosets and their negations in different chunks
+    # the table is expanded in chunks of equal-size cosets, one `_expand_roots`
+    # call per size, and each chunk also fills the entries of the negated cosets
     f = field(m)
     cosets = [coset(s, f.n) for s in DefiningSet.full(f.n).coset_leaders()]
     expected = np.empty(f.n, dtype=np.uint32)
     for cs in cosets:
         expected[list(cs.elements)] = _scalar_minimal_poly(f, cs.elements)
-    # a coset is expanded unless it is the negation of one with a smaller leader
-    expanded = sum(cs.leader <= f.n - max(cs.elements) for cs in cosets)
-    for chunk in (1, 3, 64):
-        with mock.patch.object(gf2poly, "_TABLE_CHUNK", chunk), \
-                mock.patch.object(gf2poly, "_expand_roots", wraps=gf2poly._expand_roots) as expand:
-            table = gf2poly._minimal_poly_table.__wrapped__(f)
-        assert table.tolist() == expected.tolist()
-        assert sum(len(call.args[1]) for call in expand.call_args_list) == expanded
+    with mock.patch.object(gf2poly, "_expand_roots", wraps=gf2poly._expand_roots) as expand:
+        table = gf2poly._minimal_poly_table.__wrapped__(m)
+    assert table.tolist() == expected.tolist()
+    chunks = [call.args[1] for call in expand.call_args_list]
+    sizes = [chunk.shape[1] for chunk in chunks]
+    assert sorted(sizes) == sorted({cs.size for cs in cosets})
+    # the rows of a chunk are whole cosets, each expanded once, one of each pair {C, -C}
+    rows = [frozenset(row) for chunk in chunks for row in chunk.tolist()]
+    kept = {frozenset(cs.elements) for cs in cosets if cs.leader <= f.n - max(cs.elements)}
+    assert len(rows) == len(set(rows)) and set(rows) == kept
+
+
+def test_minimal_poly_table_is_kept_once_per_m():
+    # the table depends on m alone, so fields built outside `field` share it
+    # and are not kept alive by it
+    gf2poly._minimal_poly_table.cache_clear()
+    T = DefiningSet.from_leaders(511, [1, 3, 5])
+    codes = [from_defining_set(GF2m(9), T) for _ in range(3)]
+    assert len({c.g for c in codes}) == 1
+    assert gf2poly._minimal_poly_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("r", range(2, 17, 2))
