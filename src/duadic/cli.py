@@ -14,9 +14,8 @@ from collections import namedtuple
 
 from . import gf2poly
 from .bounds import LEMMA_IDS, SIDES, HypothesisError, best_certificate, lemma_window, verify_lemma_membership
-from .code import dual, extend, from_class_polys, from_defining_set, is_doubly_even, is_self_dual
-from .cyclotomic import WeightClassSpec, check_r, complement_spec, defining_set
-from .gf2m import field
+from .code import dual, extend, from_class_polys, is_doubly_even, is_self_dual
+from .cyclotomic import WeightClassSpec, check_r, complement_spec
 from .mindist import ENUM_BUDGET_K, bounded_min_distance, exact_min_distance
 from .pairs import _THEOREM_LEMMA, R8_REFERENCE_SETS, classify, enumerate_catalog, is_duadic
 
@@ -84,12 +83,17 @@ def _parse_int_list(text, flag):
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _make_spec(r, m, s_text, unchecked):
-    s = _parse_residues(s_text, r)
+def _usage(fn, *args):
+    """fn(*args), with a ValueError it raises turned into a UsageError."""
     try:
-        return WeightClassSpec(r=r, m=m, S=s, unchecked=unchecked)
+        return fn(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _make_spec(r, m, s_text, unchecked):
+    _usage(check_r, r)  # first: the -S range check needs a valid r
+    return _usage(WeightClassSpec, r, m, _parse_residues(s_text, r), unchecked)
 
 
 def _parse_v_candidates(text, n):
@@ -128,7 +132,7 @@ _Analysis = namedtuple("_Analysis", "code verdict cert dual dual_cert ext duadic
 def _analyze(spec, v_candidates, polys):
     """Build the code of a spec from the class polynomials `polys` of its
     (m, r) and derive all its reported facts, once."""
-    c = from_class_polys(field(spec.m), spec, polys)
+    c = from_class_polys(spec, polys)
     verdict = classify(spec)
     cert = best_certificate(c.T, v_candidates)
     d = dual(c)
@@ -218,7 +222,7 @@ def _yn(b):
 def cmd_construct(args):
     spec = _make_spec(args.r, args.m, args.S, args.unchecked)
     v_candidates = _parse_v_candidates(args.v, spec.n)
-    a = _analyze(spec, v_candidates, gf2poly.class_polys(field(spec.m), spec.r))
+    a = _analyze(spec, v_candidates, gf2poly.class_polys(spec.m, spec.r))
     report = _construct_report(spec, a)
     row = {**_analysis_row(spec, a), "generator_hex": report["generator_hex"]}
     payload = {"command": "construct", "report": report}
@@ -247,10 +251,7 @@ def _catalog_rows(r, t):
 
 
 def cmd_catalog(args):
-    try:
-        rows = _catalog_rows(args.r, args.t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rows = _usage(_catalog_rows, args.r, args.t)
     exit_code = 0
     notes = []
     if args.r == 8:
@@ -319,10 +320,7 @@ def _table_specs(r, m, s_text, unchecked):
 
 def cmd_table(args):
     m_list = _parse_int_list(args.m, "-m")
-    try:
-        check_r(args.r)  # a bad r fails every row, and m % r needs r != 0
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _usage(check_r, args.r)  # a bad r fails every row, and m % r needs r != 0
     r = args.r
     per_m = []  # every --v is checked before any row is computed
     for m in m_list:
@@ -331,7 +329,7 @@ def cmd_table(args):
         # to build; its class polynomials are built once and shared by its rows
         valid = [spec for _, spec, _ in specs if spec is not None]
         v_candidates = _parse_v_candidates(args.v, valid[0].n) if valid else None
-        polys = gf2poly.class_polys(field(m), r) if valid else None
+        polys = gf2poly.class_polys(m, r) if valid else None
         per_m.append((m, specs, polys, v_candidates))
     rows = [_table_row(r, m, s, error, spec, polys, v) for m, specs, polys, v in per_m for s, spec, error in specs]
     payload = {"command": "table", "r": r, "S": args.S, "m_list": m_list, "rows": rows}
@@ -340,10 +338,7 @@ def cmd_table(args):
 
 def cmd_verify_lemmas(args):
     m_list = _parse_int_list(args.m, "-m")
-    try:
-        check_r(args.r)  # a bad r is an error even without m values, and m % r needs r != 0
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _usage(check_r, args.r)  # a bad r is an error even without m values, and m % r needs r != 0
     specs = []  # every m is validated before any lemma is checked
     for m in m_list:
         if m % 2 == 0:
@@ -388,19 +383,16 @@ def cmd_mindist(args):
         raise UsageError(f"--effort must be a non-negative integer, got {args.effort}")
     spec = _make_spec(args.r, args.m, args.S, args.unchecked)
     v_candidates = _parse_v_candidates(args.v, spec.n)
-    fld = field(spec.m)
-    c = from_defining_set(fld, defining_set(spec))
+    c = from_class_polys(spec, gf2poly.class_polys(spec.m, spec.r))
     if args.code == "dual":
         c = dual(c)
     elif args.code == "extended":
         c = extend(c)
-    try:
-        if c.k <= ENUM_BUDGET_K:
-            bound = exact_min_distance(c)
-        else:
-            bound = bounded_min_distance(c, effort=args.effort, seed=args.seed, v_candidates=v_candidates)
-    except ValueError as exc:  # the zero code, or refused by the search's memory budget
-        raise UsageError(str(exc)) from None
+    # the zero code, or a search over its memory budget, is a usage error
+    if c.k <= ENUM_BUDGET_K:
+        bound = _usage(exact_min_distance, c)
+    else:
+        bound = _usage(bounded_min_distance, c, args.effort, args.seed, v_candidates)
     payload = {
         "command": "mindist",
         "spec": _spec_json(spec),

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from . import gf2poly
 from .cyclotomic import DefiningSet, defining_set
+from .gf2m import field
 
 
 @dataclass(frozen=True)
@@ -89,24 +90,23 @@ def from_defining_set(fld, T):
     return CyclicCode(field=fld, n=T.n, k=k, g=g, T=T)
 
 
-def from_class_polys(fld, spec, polys):
+def from_class_polys(spec, polys):
     """The code of a weight-class spec, with its check polynomial, from the
-    class polynomials `polys` = gf2poly.class_polys(fld, spec.r).
+    class polynomials `polys` = gf2poly.class_polys(spec.m, spec.r).
 
     T_S is the disjoint union of the classes W_c, c in S, and Z_n \\ T_S is
     {0} together with T_{Z_r \\ S}, so g = prod_{c in S} P_c and
     h = (x + 1) prod_{c not in S} P_c; both products come from the set's
     memoised subset products.
     """
-    # the classes partition 1..n-1, so the degrees of their polynomials sum to n - 1
-    if fld.m != spec.m or len(polys.polys) != spec.r or sum(map(gf2poly.degree, polys.polys)) != spec.n - 1:
-        raise ValueError(f"class polynomials do not belong to m={spec.m}, r={spec.r}")
+    if (polys.m, polys.r) != (spec.m, spec.r):
+        raise ValueError(f"class polynomials of m={polys.m}, r={polys.r} do not belong to m={spec.m}, r={spec.r}")
     T = defining_set(spec)
     g = polys.product(spec.S)
     if gf2poly.degree(g) != T.size:
         raise AssertionError("generator degree disagrees with the defining set")
     h = gf2poly.mul(0b11, polys.product([c for c in range(spec.r) if c not in spec.S]))
-    return CyclicCode(field=fld, n=T.n, k=T.n - T.size, g=g, T=T, h=h)
+    return CyclicCode(field=field(spec.m), n=T.n, k=T.n - T.size, g=g, T=T, h=h)
 
 
 def dual(code):

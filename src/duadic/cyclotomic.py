@@ -163,9 +163,12 @@ class DefiningSet:
 
 def check_r(r):
     """Raise ValueError unless r, the number of weight classes, is a
-    positive even integer."""
+    positive even integer of at most 2 * M_MAX. The weights of 1..n-1 lie
+    below m <= M_MAX, so a larger r only adds empty classes."""
     if r < 2 or r % 2:
         raise ValueError(f"r must be a positive even integer, got {r}")
+    if r > 2 * M_MAX:
+        raise ValueError(f"r must be at most {2 * M_MAX}, got {r}")
 
 
 @dataclass(frozen=True)

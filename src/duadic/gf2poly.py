@@ -12,7 +12,7 @@ O(n log^2 n) rather than O(n^2):
 - The code of a weight-class spec (r, m, S) needs no per-coset product.
   T_S is the disjoint union of the classes W_c, c in S, and Z_n \\ T_S
   is {0} together with T_{Z_r \\ S}. So `class_polys` builds the r class
-  polynomials P_c of a field once, and g = prod_{c in S} P_c and the
+  polynomials P_c of an (m, r) once, and g = prod_{c in S} P_c and the
   cofactor prod_{c not in S} P_c of the check polynomial
   h = (x + 1) prod_{c not in S} P_c are subset products of them
   (`code.from_class_polys`). `ClassPolys.product` splits the class indices
@@ -250,14 +250,15 @@ def generator_poly(fld, T):
 
 
 class ClassPolys:
-    """The class polynomials P_c, c in Z_r, of one field, with a memo of
+    """The class polynomials P_c, c in Z_r, of field(m), with a memo of
     their subset products.
 
-    The memo lives as long as the set, which one command builds per field.
+    The memo lives as long as the set, which one command builds per (m, r).
     """
 
-    def __init__(self, polys):
+    def __init__(self, m, polys):
         self.polys = tuple(polys)
+        self.m, self.r = m, len(self.polys)
         self._memo = {}
 
     def product(self, classes):
@@ -282,16 +283,16 @@ class ClassPolys:
         return found
 
 
-def class_polys(fld, r):
+def class_polys(m, r):
     """The class polynomials P_c = prod_{j in W_c} (x - alpha^j), c in Z_r,
-    where W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, as a ClassPolys; an
-    empty class gives 1.
+    of field(m), where W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, as a
+    ClassPolys; an empty class gives 1.
 
     -W_c = W_{(m-c) mod r}, so of each pair of classes only the smaller
     index is built and its partner is its reciprocal; a class that is its
     own partner (2c = m mod r, only at even m) is built directly.
     """
-    m = fld.m
+    fld = field(m)
     polys = [None] * r
     for c, w in enumerate(weight_classes(m, r)):
         partner = (m - c) % r
@@ -299,7 +300,7 @@ def class_polys(fld, r):
             polys[c] = generator_poly(fld, w)
             if partner != c:
                 polys[partner] = reciprocal(polys[c])
-    return ClassPolys(polys)
+    return ClassPolys(m, polys)
 
 
 def check_poly(g, n):

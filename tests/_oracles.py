@@ -7,6 +7,7 @@ import numpy as np
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
 from duadic.code import row_reduce
 from duadic.cyclotomic import complement_spec, defining_set, weight_classes
+from duadic.gf2m import field
 from duadic.gf2poly import generator_poly
 from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
 
@@ -21,10 +22,11 @@ def matrix_product_is_zero(rows_a, rows_b):
     return all((ra & rb).bit_count() % 2 == 0 for ra in rows_a for rb in rows_b)
 
 
-def class_polys_direct(fld, r):
-    """Every class polynomial P_c, c in Z_r, as the product of the minimal
-    polynomials of its own cosets, without the pairing of W_c with -W_c."""
-    return tuple(generator_poly(fld, w) for w in weight_classes(fld.m, r))
+def class_polys_direct(m, r):
+    """Every class polynomial P_c, c in Z_r, of field(m) as the product of
+    the minimal polynomials of its own cosets, without the pairing of W_c
+    with -W_c."""
+    return tuple(generator_poly(field(m), w) for w in weight_classes(m, r))
 
 
 def evaluate(fld, p, x):

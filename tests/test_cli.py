@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -246,6 +247,21 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
     assert len(calls) == 3  # classes 1 and 3 pair with themselves, 0 with 2
 
 
+def test_mindist_builds_from_the_class_polynomials(capsys, monkeypatch):
+    calls = []
+    generator_poly = gf2poly.generator_poly
+
+    def counted(fld, T):
+        calls.append(T)
+        return generator_poly(fld, T)
+
+    monkeypatch.setattr(gf2poly, "generator_poly", counted)
+    code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "9", "-S", "1", "--code", "dual")
+    assert code == 0 and (payload["n"], payload["k"]) == (511, 255)
+    # one per class pair {0, 1}: the dual's check polynomial comes from the same classes
+    assert len(calls) == 1
+
+
 # sha256 of stdout, recorded from the plain per-spec products, the gathered
 # BCH run scans and the polynomial self-orthogonality products that the
 # memoised class-subset products, bitmap rotations and the defining-set
@@ -272,6 +288,11 @@ GOLDEN_DIGESTS = [
     ("construct -r 16 -m 6 -S 1,2,3 --unchecked", "json", "1ab33f85b1601d2aef4ba22f6c08b7ef58db40fbfea7289233898ec4bc720e14"),
     # a field above m = 13: even m with self-paired classes, 14601 cosets
     ("construct -r 4 -m 18 -S 0,1 --unchecked", "json", "69fb9c9e4e8ad44b5eedba991c17358a07bc3f8d940cd775a11e02544379bba7"),
+    # mindist's dual and extended codes, recorded while mindist built them coset by coset
+    ("mindist -r 8 -m 9 -S 0,2,3,4 --code dual", "json", "be3f2fc92f9633e6971e6e3c4dbe46454c7d2122609bade382184dfed5924a17"),
+    ("mindist -r 8 -m 9 -S 0,2,3,4 --code extended", "json", "f9340c2e6a1fae606c1f58b6e8c6edcaf87886f6bbb5035c0e6ee17f72297c6c"),
+    ("mindist -r 16 -m 6 -S 1,2,3 --unchecked --code dual", "json", "de972cee2e7eff1b8470c04dae74874d5f6fb55de43d020051cfa8fc564706af"),
+    ("mindist -r 4 -m 10 -S 0,1 --unchecked --code dual", "json", "3c852611f7090eab44e7abe8c4a2c4fe37d35c528fb72197fa5aa14396036686"),
 ]
 
 
@@ -465,11 +486,31 @@ def test_negative_effort_is_a_usage_error(capsys):
     (("table", "-r", "0", "-S", "all", "-m", "9"), "r must be a positive even integer, got 0"),
     (("table", "-r", "3", "-S", "0", "-m", "9"), "r must be a positive even integer, got 3"),
     (("verify-lemmas", "-r", "3", "-m", ""), "r must be a positive even integer, got 3"),
+    # r is checked before -S, whose residues must lie in Z_r
+    (("construct", "-r", "0", "-m", "3", "-S", "0"), "r must be a positive even integer, got 0"),
+    (("construct", "-r", "-2", "-m", "3", "-S", "x"), "r must be a positive even integer, got -2"),
+    (("mindist", "-r", "3", "-m", "9", "-S", "0"), "r must be a positive even integer, got 3"),
+    (("mindist", "-r", "42", "-m", "9", "-S", "0", "--unchecked"), "r must be at most 40, got 42"),
+    (("table", "-r", "42", "-S", "all", "-m", "9"), "r must be at most 40, got 42"),
+    (("catalog", "-r", "42", "-t", "1"), "r must be at most 40, got 42"),
 ])
 def test_bad_r_or_m_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "-r", "100000000", "-m", "3", "-S", "0", "--unchecked"),
+    ("table", "-r", "100000000", "-S", "0", "-m", "3", "--unchecked"),
+    ("mindist", "-r", "100000000", "-m", "3", "-S", "0", "--unchecked"),
+])
+def test_huge_r_is_refused_before_any_class_is_built(capsys, argv):
+    # spec setup is O(r); above 2 * M_MAX = 40 every further class is empty
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: r must be at most 40, got 100000000\n")
 
 
 _CATALOG_AND_LEMMAS_WITHOUT_NUMPY = """

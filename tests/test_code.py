@@ -81,7 +81,7 @@ def _unchecked_specs(draw):
 def test_class_route_matches_the_generic_route(spec):
     fld = field(spec.m)
     t_set = defining_set(spec)
-    c = from_class_polys(fld, spec, class_polys(fld, spec.r))
+    c = from_class_polys(spec, class_polys(spec.m, spec.r))
     assert c.g == generator_poly(fld, t_set)
     assert (c.k, c.T) == (spec.n - t_set.size, t_set)
     d, d_generic = dual(c), dual(from_defining_set(fld, t_set))
@@ -90,28 +90,28 @@ def test_class_route_matches_the_generic_route(spec):
 
 def test_class_route_check_polynomial_is_verified():
     spec = WeightClassSpec(r=8, m=9, S=(0, 2, 3, 4))
-    fld = field(spec.m)
-    polys = class_polys(fld, spec.r)
-    c = from_class_polys(fld, spec, polys)
+    c = from_class_polys(spec, class_polys(spec.m, spec.r))
     with pytest.raises(AssertionError, match="x\\^n \\+ 1"):
         dual(replace(c, h=c.h ^ 0b10))
-    with pytest.raises(ValueError, match="class polynomials"):
-        from_class_polys(field(11), replace(spec, m=11), polys)
-    with pytest.raises(ValueError, match="class polynomials"):
-        from_class_polys(fld, spec, ClassPolys(polys.polys[:4]))
+
+
+@pytest.mark.parametrize("m,r", [(11, 8), (9, 4), (9, 16), (7, 8)])
+def test_class_route_rejects_a_set_built_for_another_m_or_r(m, r):
+    spec = WeightClassSpec(r=8, m=9, S=(0, 2, 3, 4))
+    with pytest.raises(ValueError, match=f"class polynomials of m={m}, r={r} do not belong to m=9, r=8"):
+        from_class_polys(spec, class_polys(m, r))
 
 
 @pytest.mark.parametrize("r,m", [(16, 9), *((8, m) for m in range(3, 12, 2))])
 def test_catalog_specs_from_one_shared_class_set_equal_specs_built_alone(r, m, monkeypatch):
-    fld = field(m)
-    shared = class_polys(fld, r)
+    shared = class_polys(m, r)
     specs = [WeightClassSpec(r=r, m=m, S=s) for s in enumerate_catalog(r, m % r)]
     products = []
     mul = gf2poly.mul
     monkeypatch.setattr(gf2poly, "mul", lambda a, b: products.append(1) or mul(a, b))
-    codes = [from_class_polys(fld, spec, shared) for spec in specs]
+    codes = [from_class_polys(spec, shared) for spec in specs]
     shared_products = len(products)
-    alone = [from_class_polys(fld, spec, ClassPolys(shared.polys)) for spec in specs]
+    alone = [from_class_polys(spec, ClassPolys(m, shared.polys)) for spec in specs]
     assert 2 * shared_products <= len(products) - shared_products
     monkeypatch.undo()
     for spec, c, c_alone in zip(specs, codes, alone):

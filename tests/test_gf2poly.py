@@ -299,10 +299,9 @@ def test_minimal_poly_table_is_kept_once_per_m():
 def test_class_polys_build_one_class_of_each_negation_pair(r):
     # m = 2..13 covers self-paired classes (2c = m mod r, even m) and empty ones (r > m)
     for m in range(2, 14):
-        f = field(m)
         with mock.patch.object(gf2poly, "generator_poly", wraps=gf2poly.generator_poly) as built:
-            polys = gf2poly.class_polys(f, r).polys
-        assert polys == class_polys_direct(f, r)
+            found = gf2poly.class_polys(m, r)
+        assert (found.m, found.r, found.polys) == (m, r, class_polys_direct(m, r))
         assert built.call_count == len({min(c, (m - c) % r) for c in range(r)})
 
 
