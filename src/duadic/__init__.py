@@ -23,7 +23,6 @@ from .code import (
     extend,
     from_defining_set,
     is_doubly_even,
-    is_even_weight_subcode,
     is_self_dual,
 )
 from .cyclotomic import (
@@ -33,7 +32,6 @@ from .cyclotomic import (
     complement_spec,
     coset,
     defining_set,
-    weight2,
 )
 from .gf2m import GF2m, field
 from .mindist import (
@@ -44,9 +42,7 @@ from .mindist import (
     weight_distribution,
 )
 from .pairs import (
-    DuadicPair,
     TheoremVerdict,
-    build_pair,
     classify,
     enumerate_catalog,
     is_duadic,
@@ -58,7 +54,6 @@ __all__ = [
     "CyclicCode",
     "CyclotomicCoset",
     "DefiningSet",
-    "DuadicPair",
     "ExtendedCode",
     "GF2m",
     "HypothesisError",
@@ -68,7 +63,6 @@ __all__ = [
     "WeightDistribution",
     "best_certificate",
     "bounded_min_distance",
-    "build_pair",
     "classify",
     "complement_spec",
     "coset",
@@ -81,12 +75,11 @@ __all__ = [
     "field",
     "from_defining_set",
     "is_doubly_even",
-    "is_even_weight_subcode",
+    "is_duadic",
     "is_self_dual",
     "max_ap_run",
     "sqrt_bounds",
     "verify_lemma_membership",
-    "weight2",
     "weight_distribution",
 ]
 

@@ -1,5 +1,5 @@
 """Cyclic codes from defining sets: generator matrices, duals, extensions,
-and the structural predicates (self-dual, doubly-even, even-weight subcode).
+and the structural predicates (self-dual, doubly-even).
 
 Codewords and matrix rows are int bitvectors, bit i = coordinate c_i.
 """
@@ -41,9 +41,6 @@ class CyclicCode:
             raise ValueError("word longer than the code length")
         return gf2poly.mod(word, self.g) == 0
 
-    def params(self):
-        return (self.n, self.k)
-
 
 @dataclass(frozen=True)
 class ExtendedCode:
@@ -76,9 +73,6 @@ class ExtendedCode:
             raise ValueError("word longer than the extended length")
         base_part = word & ((1 << self.base.n) - 1)
         return self.base.contains(base_part) and word.bit_count() % 2 == 0
-
-    def params(self):
-        return (self.n, self.k)
 
 
 def from_defining_set(fld, T):
@@ -162,15 +156,6 @@ def is_doubly_even(ext):
     """
     row_weight = ext.base.g.bit_count() + ext.parity_bit
     return row_weight % 4 == 0 and _self_orthogonal(ext)
-
-
-def is_even_weight_subcode(sub, sup):
-    """sub is contained in sup with codimension 1 and only even-weight rows."""
-    if sub.n != sup.n or sub.k != sup.k - 1:
-        return False
-    if gf2poly.mod(sub.g, sup.g) != 0:
-        return False
-    return sub.g.bit_count() % 2 == 0
 
 
 def row_reduce(rows):

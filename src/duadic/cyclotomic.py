@@ -16,13 +16,6 @@ from ._numpy import np
 from .gf2m import M_MAX, M_MIN
 
 
-def weight2(j):
-    """Number of ones in the binary expansion of j (j >= 0)."""
-    if j < 0:
-        raise ValueError("weight2 needs a nonnegative integer")
-    return int(j).bit_count()
-
-
 def rotations(x, m):
     """Yield x * 2^k mod n, n = 2^m - 1, for k = 0..m-1 over an int32 array
     of residues: doubling mod n rotates the m-bit residue left by one."""
@@ -85,18 +78,6 @@ class DefiningSet:
         return cls(n=n, bits=_bool_to_bits(arr))
 
     @classmethod
-    def from_leaders(cls, n, leaders):
-        """Rebuild a set from its serialized form (coset leaders)."""
-        members = []
-        for s in leaders:
-            members.extend(coset(s, n).elements)
-        return cls.from_indices(n, members)
-
-    @classmethod
-    def empty(cls, n):
-        return cls(n=n, bits=0)
-
-    @classmethod
     def full(cls, n):
         return cls(n=n, bits=(1 << n) - 1)
 
@@ -138,9 +119,6 @@ class DefiningSet:
     def with_zero(self):
         return DefiningSet(n=self.n, bits=self.bits | 1)
 
-    def without_zero(self):
-        return DefiningSet(n=self.n, bits=self.bits & ~1)
-
     def is_closed_under_doubling(self):
         arr = self.bool_array()
         idx = np.flatnonzero(arr)
@@ -156,9 +134,6 @@ class DefiningSet:
         orbit_min = reduce(np.minimum, rotations(members, self.n.bit_length()))
         _, first = np.unique(orbit_min, return_index=True)
         return np.sort(members[first]).tolist()
-
-    def to_json(self):
-        return {"n": self.n, "leaders": self.coset_leaders()}
 
 
 def check_r(r):

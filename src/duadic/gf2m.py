@@ -1,4 +1,4 @@
-"""Arithmetic in GF(2^m) via log/antilog tables.
+"""The field GF(2^m) as log/antilog tables.
 
 Field elements are plain Python ints: the bits of an element are its
 coordinates in the polynomial basis (bit i = coefficient of alpha^i).
@@ -71,14 +71,14 @@ def smallest_primitive_modulus(m):
 
 
 class GF2m:
-    """The field GF(2^m), 2 <= m <= 20, with alpha = x primitive.
+    """The field GF(2^m), 2 <= m <= 20, with alpha = x primitive, as its tables.
 
-    Tables: antilog[e] = alpha^e for e in Z_n, log[a] = e with alpha^e = a
-    for nonzero a (n = 2^m - 1). Immutable after construction; safe for
-    concurrent reads.
+    antilog_table[e] = alpha^e for e in Z_n, and log_table[a] = e with
+    alpha^e = a for nonzero a, log_table[0] = -1 (n = 2^m - 1). Both are
+    read-only numpy arrays, so an instance is safe for concurrent reads.
     """
 
-    __slots__ = ("m", "n", "modulus", "_antilog", "_log")
+    __slots__ = ("m", "n", "modulus", "antilog_table", "log_table")
 
     def __init__(self, m):
         self.modulus = smallest_primitive_modulus(m)
@@ -92,47 +92,12 @@ class GF2m:
             x <<= 1
             if x & top:
                 x ^= self.modulus
-        self._antilog = np.array(antilog, dtype=np.uint32)
+        self.antilog_table = np.array(antilog, dtype=np.uint32)
         log = np.full(1 << m, -1, dtype=np.int32)
-        log[self._antilog] = np.arange(self.n, dtype=np.int32)
-        self._antilog.flags.writeable = False
+        log[self.antilog_table] = np.arange(self.n, dtype=np.int32)
+        self.antilog_table.flags.writeable = False
         log.flags.writeable = False
-        self._log = log
-
-    @property
-    def alpha(self):
-        return int(self._antilog[1])
-
-    @staticmethod
-    def add(a, b):
-        return a ^ b
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self._antilog[(int(self._log[a]) + int(self._log[b])) % self.n])
-
-    def pow_alpha(self, e):
-        """alpha^e for any integer e (reduced mod n)."""
-        return int(self._antilog[e % self.n])
-
-    def log(self, a):
-        """Discrete log base alpha; a must be a nonzero field element."""
-        if not 0 < a < (1 << self.m):
-            raise ValueError(f"log domain error: {a} is zero or not an element of GF(2^{self.m})")
-        return int(self._log[a])
-
-    def inv(self, a):
-        return int(self._antilog[(self.n - self.log(a)) % self.n])
-
-    # raw table views for vectorized callers (read-only arrays)
-    @property
-    def antilog_table(self):
-        return self._antilog
-
-    @property
-    def log_table(self):
-        return self._log
+        self.log_table = log
 
     def __repr__(self):
         return f"GF2m(m={self.m}, modulus={self.modulus:#x})"

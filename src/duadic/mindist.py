@@ -76,10 +76,6 @@ class WeightDistribution:
     def is_doubly_even(self):
         return all(c == 0 for w, c in enumerate(self.counts) if w % 4)
 
-    def to_json(self):
-        return {"n": self.n, "k": self.k, "counts": list(self.counts),
-                "even": self.is_even, "doubly_even": self.is_doubly_even}
-
 
 def _encode(rows, message):
     word = 0

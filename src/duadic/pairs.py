@@ -1,6 +1,6 @@
-"""Duadic pairs built from weight-class specs, the theorem classifier that
-maps a spec to its certified bound family (T4, T7, T8, T9), and the catalog
-of every duadic S for a given (r, t).
+"""The duadic test of weight-class specs, the theorem classifier that maps
+a spec to its certified bound family (T4, T7, T8, T9), and the catalog of
+every duadic S for a given (r, t).
 
 A family applies when its lemma's hypotheses hold for S or for S'; those
 hypotheses are stated once, in `bounds.lemma_hypothesis_failure`.
@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .bounds import lemma_hypothesis_failure, lemma_window
-from .cyclotomic import check_r, complement_spec, defining_set
+from .cyclotomic import check_r, complement_spec
 
 CATALOG_R_MAX = 16
 
@@ -30,17 +30,6 @@ R8_REFERENCE_SETS = {
     7: ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6),
         (0, 3, 5, 6), (0, 4, 5, 6), (0, 1, 4, 5), (0, 2, 4, 6)),
 }
-
-
-@dataclass(frozen=True)
-class DuadicPair:
-    """The two defining sets of a splitting of Z_n \\ {0} with multiplier mu."""
-
-    spec: object
-    T1: object
-    T2: object
-    kind: str  # "odd-like" or "even-like"
-    mu: int
 
 
 @dataclass(frozen=True)
@@ -91,18 +80,6 @@ def is_duadic(spec):
     # |S| = r/2 and no c in S has its reflection t - c in S
     r, t, s = spec.r, spec.t, spec.S
     return 2 * len(s) == r and all((t - c) % r not in s for c in s)
-
-
-def build_pair(spec, even_like=False):
-    """The duadic pair (T_S, T_S') for a duadic spec; the even-like variant
-    adds 0 to both sides."""
-    if not is_duadic(spec):
-        raise ValueError(f"spec is not duadic: Z_{spec.r} \\ S != (t - S) mod r for S = {spec.S}, t = {spec.t}")
-    t1 = defining_set(spec)
-    t2 = defining_set(complement_spec(spec))
-    if even_like:
-        t1, t2 = t1.with_zero(), t2.with_zero()
-    return DuadicPair(spec=spec, T1=t1, T2=t2, kind="even-like" if even_like else "odd-like", mu=spec.n - 1)
 
 
 def classify(spec):

@@ -6,9 +6,9 @@ import numpy as np
 
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
 from duadic.code import row_reduce
-from duadic.cyclotomic import complement_spec, defining_set, weight_classes
+from duadic.cyclotomic import DefiningSet, complement_spec, coset, defining_set, weight_classes
 from duadic.gf2m import field
-from duadic.gf2poly import generator_poly
+from duadic.gf2poly import generator_poly, mod
 from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
 
 
@@ -29,12 +29,34 @@ def class_polys_direct(m, r):
     return tuple(generator_poly(field(m), w) for w in weight_classes(m, r))
 
 
+def field_mul(fld, a, b):
+    """The product of field elements a and b, read off the log/antilog tables."""
+    if a == 0 or b == 0:
+        return 0
+    return int(fld.antilog_table[(int(fld.log_table[a]) + int(fld.log_table[b])) % fld.n])
+
+
 def evaluate(fld, p, x):
     """Horner evaluation of p at the field element x."""
     acc = 0
     for d in range(p.bit_length() - 1, -1, -1):
-        acc = fld.mul(acc, x) ^ ((p >> d) & 1)
+        acc = field_mul(fld, acc, x) ^ ((p >> d) & 1)
     return acc
+
+
+def from_leaders(n, leaders):
+    """The defining set made of the cosets of the given leaders, the inverse
+    of `DefiningSet.coset_leaders`."""
+    return DefiningSet.from_indices(n, [j for s in leaders for j in coset(s, n).elements])
+
+
+def is_even_weight_subcode(sub, sup):
+    """sub is contained in sup with codimension 1 and only even-weight rows."""
+    if sub.n != sup.n or sub.k != sup.k - 1:
+        return False
+    if mod(sub.g, sup.g) != 0:
+        return False
+    return sub.g.bit_count() % 2 == 0
 
 
 def eval_at_powers(fld, p, exponents=None):

@@ -7,7 +7,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from duadic.bounds import HypothesisError, best_certificate, max_ap_run, verify_lemma_membership
 from duadic.code import (
@@ -15,16 +14,15 @@ from duadic.code import (
     extend,
     from_defining_set,
     is_doubly_even,
-    is_even_weight_subcode,
     is_self_dual,
 )
 from duadic.cyclotomic import WeightClassSpec, complement_spec, defining_set
 from duadic.gf2m import field
 from duadic.gf2poly import check_poly, generator_poly, mul, x_pow_plus_one
 from duadic.mindist import exact_min_distance, weight_distribution
-from duadic.pairs import R8_REFERENCE_SETS, build_pair, classify, enumerate_catalog
+from duadic.pairs import R8_REFERENCE_SETS, classify, enumerate_catalog
 
-from _oracles import eval_at_powers, matrix_product_is_zero
+from _oracles import eval_at_powers, is_even_weight_subcode, matrix_product_is_zero
 
 ALL_R = (2, 4, 6, 8)
 ODD_M_17 = tuple(range(3, 18, 2))
@@ -54,11 +52,10 @@ def test_c1_duadic_splitting_structure():
     with criterion("1 duadic splitting m=3..17", 10):
         for m in ODD_M_17:
             for spec in _catalog_specs(m):
-                pair = build_pair(spec)
-                n = pair.T1.n
-                assert (pair.T1 & pair.T2).size == 0
-                assert (pair.T1 | pair.T2).bits == ((1 << n) - 1) ^ 1
-                assert pair.T1.negated() == pair.T2
+                t1, t2 = defining_set(spec), defining_set(complement_spec(spec))
+                assert (t1 & t2).size == 0
+                assert (t1 | t2).bits == ((1 << t1.n) - 1) ^ 1
+                assert t1.negated() == t2
 
 
 def test_c2_catalog_reproduces_reference_lists():
@@ -117,13 +114,13 @@ def test_c5_exact_distances_m5():
         assert found.lower >= 7  # published lower bound is one-sided
     with criterion("5b exact d of even-like dual [31,15]", 5):
         d = dual(c)
-        assert d.params() == (31, 15)
+        assert (d.n, d.k) == (31, 15)
         found = exact_min_distance(d)
         assert found.exact and found.lower == 8
         assert found.lower >= 8
     with criterion("5c exact d of extended [32,16]", 5):
         e = extend(c)
-        assert e.params() == (32, 16)
+        assert (e.n, e.k) == (32, 16)
         found = exact_min_distance(e)
         assert found.exact and found.lower == 8
         assert found.lower >= 8
@@ -198,10 +195,10 @@ def test_c9_large_instance_smoke():
         spec = WeightClassSpec(r=8, m=9, S=(0, 2, 3, 4))
         t = defining_set(spec)
         c = from_defining_set(field(9), t)
-        assert c.params() == (511, 256)
+        assert (c.n, c.k) == (511, 256)
         verdict = classify(spec)
         cert = best_certificate(t)
         assert verdict.d_lower == 19 and cert.d_lower >= 19
         e = extend(c)
-        assert e.params() == (512, 256)
+        assert (e.n, e.k) == (512, 256)
         assert is_self_dual(e) and is_doubly_even(e)

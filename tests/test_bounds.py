@@ -36,15 +36,15 @@ def test_max_ap_run_basic_example():
 
 
 def test_max_ap_run_repetition_set():
-    t = DefiningSet.full(7).without_zero()
+    t = DefiningSet(7, (1 << 7) - 2)
     for v in (1, 2, 3):
         cert = max_ap_run(t, v)
         assert cert.run_length == 6 and cert.d_lower == 7
 
 
 def test_max_ap_run_degenerate_sets():
-    assert max_ap_run(DefiningSet.empty(7), 1).run_length == 0
-    assert max_ap_run(DefiningSet.empty(7), 1).d_lower == 1
+    assert max_ap_run(DefiningSet(7, 0), 1).run_length == 0
+    assert max_ap_run(DefiningSet(7, 0), 1).d_lower == 1
     full = max_ap_run(DefiningSet.full(7), 1)
     assert full.run_length == 7 and full.d_lower == 8
 
@@ -257,7 +257,7 @@ def test_dual_certificate_reaches_predicted_bound():
 def test_bounded_full_space_code():
     import duadic as D
 
-    full = D.from_defining_set(field(3), DefiningSet.empty(7))
+    full = D.from_defining_set(field(3), DefiningSet(7, 0))
     found = D.bounded_min_distance(full, effort=0)
     assert found.lower == found.upper == 1 and found.exact
 
@@ -327,7 +327,7 @@ def _ap_sets(draw):
     if kind == "holes":
         holes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
         return DefiningSet(n=n, bits=full & ~sum(1 << h for h in set(holes)))
-    return DefiningSet.full(n) if kind == "full" else DefiningSet.empty(n)
+    return DefiningSet.full(n) if kind == "full" else DefiningSet(n, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,6 @@ from duadic.code import (
     from_class_polys,
     from_defining_set,
     is_doubly_even,
-    is_even_weight_subcode,
     is_self_dual,
     row_reduce,
 )
@@ -21,7 +20,7 @@ from duadic.gf2m import field
 from duadic.gf2poly import ClassPolys, class_polys, generator_poly, product
 from duadic.pairs import enumerate_catalog
 
-from _oracles import eval_at_powers, matrix_product_is_zero, rank
+from _oracles import eval_at_powers, from_leaders, is_even_weight_subcode, matrix_product_is_zero, rank
 
 
 def _code(r, m, S):
@@ -38,11 +37,11 @@ def _all_codewords(c):
 
 def test_from_defining_set_examples():
     c = _code(2, 3, (0,))
-    assert c.params() == (7, 4) and c.g == 0xD
-    full = from_defining_set(field(3), DefiningSet.empty(7))
-    assert full.params() == (7, 7) and full.g == 1
+    assert (c.n, c.k) == (7, 4) and c.g == 0xD
+    full = from_defining_set(field(3), DefiningSet(7, 0))
+    assert (full.n, full.k) == (7, 7) and full.g == 1
     c31 = _code(2, 5, (1,))
-    assert c31.params() == (31, 16)
+    assert (c31.n, c31.k) == (31, 16)
 
 
 def test_from_defining_set_requires_closure():
@@ -61,7 +60,7 @@ def test_generator_rows_are_codewords_of_rank_k():
 def test_dual_example():
     c = _code(2, 3, (1,))  # T = {1,2,4}
     d = dual(c)
-    assert d.params() == (7, 3)
+    assert (d.n, d.k) == (7, 3)
     assert sorted(d.T.indices().tolist()) == [0, 1, 2, 4]
     assert dual(d).T == c.T
     assert matrix_product_is_zero(c.generator_rows(), d.generator_rows())
@@ -150,13 +149,13 @@ def test_even_weight_subcode_rejects_non_subcode():
 def test_extend_examples():
     c = _code(2, 3, (1,))
     e = extend(c)
-    assert e.params() == (8, 4)
+    assert (e.n, e.k) == (8, 4)
     weights = sorted(w.bit_count() for w in _all_codewords_ext(e))
     assert weights[1] == 4  # [7,4,3] extends to [8,4,4]
     assert e.contains(0)
     c31 = _code(2, 5, (1,))
     e31 = extend(c31)
-    assert e31.params() == (32, 16)
+    assert (e31.n, e31.k) == (32, 16)
     assert min(w.bit_count() for w in _all_codewords_ext(e31) if w) == 8
 
 
@@ -176,7 +175,7 @@ def test_extended_rows_have_even_weight():
 def test_self_dual_examples():
     assert is_self_dual(extend(_code(2, 3, (1,))))
     assert is_self_dual(extend(_code(2, 5, (1,))))
-    full = from_defining_set(field(3), DefiningSet.empty(7))
+    full = from_defining_set(field(3), DefiningSet(7, 0))
     assert not is_self_dual(extend(full))  # [8,7]: dimension rules it out
 
 
@@ -191,7 +190,7 @@ def test_self_orthogonality_shortcut_matches_matrix_product(m):
     codes = []
     for density in (0.5, 0.75, 0.9) * 8:
         chosen = [s for s in leaders if rng.random() < density]
-        codes.append(from_defining_set(fld, DefiningSet.from_leaders(fld.n, chosen)))
+        codes.append(from_defining_set(fld, from_leaders(fld.n, chosen)))
     if m % 2:
         codes += [_code(r, m, s) for r in (2, 4, 8) for s in enumerate_catalog(r, m % r)]
     codes += [dual(c) for c in codes]

@@ -256,7 +256,7 @@ def test_exact_examples():
     assert found.lower == found.upper == 7 and found.exact
     assert found.min_odd_weight == 7
     assert found.witness.bit_count() == 7
-    rep = from_defining_set(field(3), DefiningSet.full(7).without_zero())
+    rep = from_defining_set(field(3), DefiningSet(7, (1 << 7) - 2))
     assert exact_min_distance(rep).lower == 7  # two-codeword repetition code
 
 
@@ -278,10 +278,10 @@ def test_acceptance_triplet_m5():
     c = _code(2, 5, (1,))
     assert exact_min_distance(c).lower == 7
     d = dual(c)
-    assert d.params() == (31, 15)
+    assert (d.n, d.k) == (31, 15)
     assert exact_min_distance(d).lower == 8
     e = extend(c)
-    assert e.params() == (32, 16)
+    assert (e.n, e.k) == (32, 16)
     found = exact_min_distance(e)
     assert found.lower == 8
     assert found.min_odd_weight is None  # extension kills odd weights
@@ -293,7 +293,7 @@ def test_weight_distribution_examples():
     assert wd.counts == (1, 0, 0, 0, 14, 0, 0, 0, 1)
     assert wd.is_doubly_even and wd.is_even
 
-    full = from_defining_set(field(3), DefiningSet.empty(7))
+    full = from_defining_set(field(3), DefiningSet(7, 0))
     wd = weight_distribution(full)
     assert wd.counts == tuple(math.comb(7, w) for w in range(8))
     assert not wd.is_even

@@ -6,7 +6,6 @@ from duadic.bounds import LEMMA_IDS, HypothesisError, check_lemma_hypotheses
 from duadic.cyclotomic import WeightClassSpec, complement_spec, defining_set
 from duadic.pairs import (
     R8_REFERENCE_SETS,
-    build_pair,
     classify,
     enumerate_catalog,
     is_duadic,
@@ -54,34 +53,22 @@ def test_is_duadic_examples():
         assert is_duadic(WeightClassSpec(r=2, m=m, S=(1,)))
 
 
-def test_build_pair_dimensions():
-    pair = build_pair(WeightClassSpec(r=2, m=5, S=(1,)))
-    assert pair.kind == "odd-like" and pair.mu == 30
-    assert pair.T1.size == pair.T2.size == 15  # [31,16] codes
-    even = build_pair(WeightClassSpec(r=2, m=5, S=(1,)), even_like=True)
-    assert even.kind == "even-like"
-    assert even.T1.size == even.T2.size == 16  # [31,15] codes
-    assert 0 in even.T1 and 0 in even.T2
-    big = build_pair(WeightClassSpec(r=8, m=9, S=(0, 2, 3, 4)))
-    assert big.T1.size == 255  # [511,256]
-
-
-def test_build_pair_rejects_non_duadic():
-    with pytest.raises(ValueError, match="not duadic"):
-        build_pair(WeightClassSpec(r=8, m=9, S=(0, 1, 2, 3)))
-
-
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13, 15, 17])
 def test_splitting_bitmaps(m):
-    # T1 and T2 partition Z_n minus 0 and are swapped by negation
+    # T1 and T2 partition Z_n minus 0 and are swapped by negation, so each
+    # holds (n - 1) / 2 residues: [n, (n + 1) / 2] odd-like codes, and
+    # [n, (n - 1) / 2] even-like ones once 0 joins both sides
     for r in (2, 4, 6, 8):
         for s in enumerate_catalog(r, m % r):
-            pair = build_pair(WeightClassSpec(r=r, m=m, S=s))
-            n = pair.T1.n
-            assert (pair.T1 & pair.T2).size == 0
-            assert (pair.T1 | pair.T2).bits == ((1 << n) - 1) ^ 1
-            assert pair.T1.negated() == pair.T2
-            assert pair.T2.negated() == pair.T1
+            spec = WeightClassSpec(r=r, m=m, S=s)
+            t1, t2 = defining_set(spec), defining_set(complement_spec(spec))
+            n = t1.n
+            assert t1.size == t2.size == (n - 1) // 2
+            assert (t1 & t2).size == 0
+            assert (t1 | t2).bits == ((1 << n) - 1) ^ 1
+            assert t1.negated() == t2
+            assert t2.negated() == t1
+            assert t1.with_zero().size == t2.with_zero().size == (n + 1) // 2
 
 
 def test_classify_spec_examples():

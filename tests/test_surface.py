@@ -1,0 +1,105 @@
+"""The package's public surface: the README's Library block runs and states
+true values, every exported name has a use in the package or in that
+block, and no module imports a name it never uses."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import duadic
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "duadic"
+
+# Exported names whose only caller is still to come.
+PENDING = {"sqrt_bounds": "ROADMAP item 1"}
+
+
+def _library_block():
+    readme = (ROOT / "README.md").read_text()
+    match = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    assert match, "README.md has no ```python block under ## Library"
+    return match.group(1)
+
+
+def _references(tree, skip=range(0)):
+    """Names read as a Name or an Attribute anywhere in tree, except on the lines in skip."""
+    found = set()
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def test_readme_library_block_states_true_values():
+    source = _library_block()
+    namespace, values = {}, {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr):
+            expr = ast.Expression(stmt.value)
+            values[ast.get_source_segment(source, stmt)] = eval(compile(expr, "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+
+    assert values["D.is_duadic(spec)"] is True
+    T, code = namespace["T"], namespace["code"]
+    assert (T.n, T.size) == (511, 255)
+    assert (code.n, code.k) == (511, 256)
+    verdict = values["D.classify(spec)"]
+    assert (verdict.theorem, verdict.d_lower) == ("T4", 19)
+    cert = values["D.best_certificate(T)"]
+    assert (cert.v, cert.run_length, cert.d_lower) == (15, 18, 19)
+    dual, ext = namespace["dual"], namespace["ext"]
+    assert (dual.n, dual.k) == (511, 255) and dual.T == T.with_zero()
+    assert (ext.n, ext.k) == (512, 256)
+    assert values["D.is_self_dual(ext), D.is_doubly_even(ext)"] == (True, True)
+    assert values["D.exact_min_distance(small).lower"] == 7
+    assert values["D.weight_distribution(D.extend(small)).is_doubly_even"] is True
+
+
+def test_every_exported_name_has_a_use():
+    trees = {p.stem: ast.parse(p.read_text()) for p in _modules()}
+    documented = _references(ast.parse(_library_block()))
+    unused = []
+    for name in duadic.__all__:
+        if name in documented or name in PENDING:
+            continue
+        home = getattr(duadic, name).__module__.rpartition(".")[2]
+        definition = next(
+            node for node in trees[home].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        )
+        own = range(definition.lineno, definition.end_lineno + 1)
+        if not any(name in _references(tree, own if stem == home else range(0)) for stem, tree in trees.items()):
+            unused.append(name)
+    assert not unused, f"exported but used by no module and not in the README Library block: {unused}"
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {a.asname or a.name for a in node.names}
+    unused = sorted(imported - _references(tree))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_all_is_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert sorted(duadic.__all__) == sorted(imported)
+    assert len(duadic.__all__) == len(set(duadic.__all__))
