@@ -18,8 +18,6 @@ from .cyclotomic import complement_spec
 LEMMA_IDS = ("L3", "L4", "L5", "L6")
 SIDES = ("S", "S'")
 
-EXHAUSTIVE_N_MAX = 1 << 13
-
 
 class HypothesisError(ValueError):
     """A lemma was invoked on a spec outside its stated hypotheses."""
@@ -124,15 +122,12 @@ def default_v_candidates(n):
     return sorted(v for v in cands if v and math.gcd(v, n) == 1) or [1]
 
 
-def best_certificate(T, v_candidates=None, exhaustive=False):
+def best_certificate(T, v_candidates=None):
     """Best BCH certificate over the candidate differences (longest run wins,
-    ties broken toward the earlier candidate)."""
+    ties broken toward the earlier candidate); a full sweep passes every
+    unit mod n as a candidate."""
     n = T.n
-    if exhaustive:
-        if n > EXHAUSTIVE_N_MAX:
-            raise ValueError(f"exhaustive unit sweep is capped at n <= {EXHAUSTIVE_N_MAX}")
-        candidates = [v for v in range(1, n) if math.gcd(v, n) == 1]
-    elif v_candidates is not None:
+    if v_candidates is not None:
         candidates = sorted(set(v % n for v in v_candidates))
     else:
         candidates = default_v_candidates(n)

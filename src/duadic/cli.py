@@ -16,6 +16,7 @@ from . import gf2poly
 from .bounds import LEMMA_IDS, SIDES, HypothesisError, best_certificate, lemma_window, verify_lemma_membership
 from .code import dual, extend, from_class_polys, is_doubly_even, is_self_dual
 from .cyclotomic import WeightClassSpec, check_r, complement_spec
+from .gf2m import field
 from .mindist import ENUM_BUDGET_K, bounded_min_distance, exact_min_distance
 from .pairs import _THEOREM_LEMMA, R8_REFERENCE_SETS, classify, enumerate_catalog, is_duadic
 
@@ -142,10 +143,10 @@ def _analyze(spec, v_candidates, polys):
 
 
 def _construct_report(spec, a):
-    c, d, e = a.code, a.dual, a.ext
+    c, d, e, fld = a.code, a.dual, a.ext, field(spec.m)
     return {
         "spec": _spec_json(spec),
-        "field": {"m": c.field.m, "modulus_hex": gf2poly.to_hex(c.field.modulus)},
+        "field": {"m": fld.m, "modulus_hex": gf2poly.to_hex(fld.modulus)},
         "n": c.n,
         "k": c.k,
         "generator_hex": gf2poly.to_hex(c.g),

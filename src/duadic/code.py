@@ -1,31 +1,34 @@
 """Cyclic codes from defining sets: generator matrices, duals, extensions,
 and the structural predicates (self-dual, doubly-even).
 
+A code holds only its generator g, its check polynomial h and its defining
+set T; T fixes the length n = 2^m - 1, the field GF(2^m) and k = n - |T|.
 Codewords and matrix rows are int bitvectors, bit i = coordinate c_i.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 from . import gf2poly
 from .cyclotomic import DefiningSet, defining_set
-from .gf2m import field
 
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """[n, k] binary cyclic code with generator g and root-exponent set T.
+    """[n, k] binary cyclic code with generator g, check polynomial
+    h = (x^n + 1) / g and root-exponent set T; g has the roots alpha^i,
+    i in T, and h the roots alpha^i, i not in T."""
 
-    h is the check polynomial (x^n + 1) / g when the builder already has it,
-    else None; `dual` verifies it either way.
-    """
-
-    field: object
-    n: int
-    k: int
     g: int
+    h: int
     T: DefiningSet
-    h: int | None = dataclasses.field(default=None, repr=False, compare=False)
+
+    @property
+    def n(self):
+        return self.T.n
+
+    @property
+    def k(self):
+        return self.T.n - self.T.size
 
     def generator_row(self, i):
         """Cyclic-shift generator matrix row x^i * g."""
@@ -75,13 +78,12 @@ class ExtendedCode:
         return self.base.contains(base_part) and word.bit_count() % 2 == 0
 
 
-def from_defining_set(fld, T):
-    """Build the cyclic code whose generator has roots alpha^i, i in T."""
+def from_defining_set(T):
+    """Build the cyclic code whose generator has roots alpha^i, i in T, and
+    whose check polynomial has the roots alpha^i, i in Z_n \\ T."""
     if not T.is_closed_under_doubling():
         raise ValueError("defining set is not closed under doubling")
-    g = gf2poly.generator_poly(fld, T)
-    k = T.n - T.size
-    return CyclicCode(field=fld, n=T.n, k=k, g=g, T=T)
+    return CyclicCode(g=gf2poly.generator_poly(T), h=gf2poly.generator_poly(T.complement()), T=T)
 
 
 def from_class_polys(spec, polys):
@@ -100,25 +102,23 @@ def from_class_polys(spec, polys):
     if gf2poly.degree(g) != T.size:
         raise AssertionError("generator degree disagrees with the defining set")
     h = gf2poly.mul(0b11, polys.product([c for c in range(spec.r) if c not in spec.S]))
-    return CyclicCode(field=field(spec.m), n=T.n, k=T.n - T.size, g=g, T=T, h=h)
+    return CyclicCode(g=g, h=h, T=T)
 
 
 def dual(code):
     """The dual code: generated by the reciprocal of the check polynomial,
-    with defining set Z_n \\ (-T).
+    with defining set Z_n \\ (-T) and check polynomial the reciprocal of g,
+    since rev(g) * rev(h) = rev(x^n + 1) = x^n + 1.
 
-    The check polynomial h is the code's own, or else it is built from the
-    complementary cosets; either way g * h = x^n + 1 is verified as an
-    independent invariant.
+    g * h = x^n + 1 is verified as an independent invariant.
     """
-    h = code.h if code.h is not None else gf2poly.generator_poly(code.field, code.T.complement())
-    if gf2poly.mul(code.g, h) != gf2poly.x_pow_plus_one(code.n):
+    if gf2poly.mul(code.g, code.h) != gf2poly.x_pow_plus_one(code.n):
         raise AssertionError("generator times check polynomial is not x^n + 1")
-    g_dual = gf2poly.reciprocal(h)
+    g_dual = gf2poly.reciprocal(code.h)
     T_dual = code.T.negated().complement()
     if gf2poly.degree(g_dual) != T_dual.size:
         raise AssertionError("dual generator degree disagrees with dual defining set")
-    return CyclicCode(field=code.field, n=code.n, k=code.n - code.k, g=g_dual, T=T_dual)
+    return CyclicCode(g=g_dual, h=gf2poly.reciprocal(code.g), T=T_dual)
 
 
 def extend(code):

@@ -68,16 +68,6 @@ class DefiningSet:
             raise ValueError("bitmap has bits beyond Z_n")
 
     @classmethod
-    def from_indices(cls, n, indices):
-        arr = np.zeros(n, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= n:
-                raise ValueError("index outside Z_n")
-            arr[idx] = True
-        return cls(n=n, bits=_bool_to_bits(arr))
-
-    @classmethod
     def full(cls, n):
         return cls(n=n, bits=(1 << n) - 1)
 
@@ -94,16 +84,10 @@ class DefiningSet:
     def indices(self):
         return np.flatnonzero(self.bool_array())
 
-    def _binop(self, other, op):
+    def __or__(self, other):
         if self.n != other.n:
             raise ValueError("defining sets live in different Z_n")
-        return DefiningSet(n=self.n, bits=op(self.bits, other.bits))
-
-    def __or__(self, other):
-        return self._binop(other, int.__or__)
-
-    def __and__(self, other):
-        return self._binop(other, int.__and__)
+        return DefiningSet(n=self.n, bits=self.bits | other.bits)
 
     def complement(self):
         return DefiningSet(n=self.n, bits=((1 << self.n) - 1) ^ self.bits)

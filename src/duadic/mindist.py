@@ -69,10 +69,6 @@ class WeightDistribution:
     counts: tuple
 
     @property
-    def is_even(self):
-        return all(c == 0 for w, c in enumerate(self.counts) if w % 2)
-
-    @property
     def is_doubly_even(self):
         return all(c == 0 for w, c in enumerate(self.counts) if w % 4)
 

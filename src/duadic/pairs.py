@@ -6,7 +6,7 @@ A family applies when its lemma's hypotheses hold for S or for S'; those
 hypotheses are stated once, in `bounds.lemma_hypothesis_failure`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 from .bounds import lemma_hypothesis_failure, lemma_window
@@ -52,16 +52,7 @@ class TheoremVerdict:
     best_d_lower: int | None
 
     def to_json(self):
-        return {
-            "theorem": self.theorem,
-            "residue_case": self.residue_case,
-            "d_lower": self.d_lower,
-            "d_dual_lower": self.d_dual_lower,
-            "d_ext_lower": self.d_ext_lower,
-            "v": self.v,
-            "run_length": self.run_length,
-            "best_d_lower": self.best_d_lower,
-        }
+        return asdict(self)
 
 
 _NO_VERDICT = TheoremVerdict("none", None, None, None, None, None, None, None)

@@ -7,7 +7,6 @@ import numpy as np
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
 from duadic.code import row_reduce
 from duadic.cyclotomic import DefiningSet, complement_spec, coset, defining_set, weight_classes
-from duadic.gf2m import field
 from duadic.gf2poly import generator_poly, mod
 from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
 
@@ -26,7 +25,7 @@ def class_polys_direct(m, r):
     """Every class polynomial P_c, c in Z_r, of field(m) as the product of
     the minimal polynomials of its own cosets, without the pairing of W_c
     with -W_c."""
-    return tuple(generator_poly(field(m), w) for w in weight_classes(m, r))
+    return tuple(generator_poly(w) for w in weight_classes(m, r))
 
 
 def field_mul(fld, a, b):
@@ -44,10 +43,23 @@ def evaluate(fld, p, x):
     return acc
 
 
+def from_indices(n, indices):
+    """The subset of Z_n holding exactly the given residues."""
+    members = set(indices)
+    if any(not 0 <= j < n for j in members):
+        raise ValueError("index outside Z_n")
+    return DefiningSet(n=n, bits=sum(1 << j for j in members))
+
+
 def from_leaders(n, leaders):
     """The defining set made of the cosets of the given leaders, the inverse
     of `DefiningSet.coset_leaders`."""
-    return DefiningSet.from_indices(n, [j for s in leaders for j in coset(s, n).elements])
+    return from_indices(n, [j for s in leaders for j in coset(s, n).elements])
+
+
+def units(n):
+    """Every unit mod n: the candidate differences of a full BCH sweep."""
+    return [v for v in range(1, n) if math.gcd(v, n) == 1]
 
 
 def is_even_weight_subcode(sub, sup):

@@ -20,7 +20,6 @@ from duadic.bounds import (
 )
 from duadic.code import from_defining_set
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, complement_spec, defining_set
-from duadic.gf2m import field
 from duadic.mindist import exact_min_distance
 from duadic.pairs import classify, enumerate_catalog
 
@@ -121,16 +120,14 @@ def test_best_certificate_default_and_explicit():
 def test_best_certificate_exhaustive():
     t = _T(2, 5, (1,))
     default = best_certificate(t)
-    swept = best_certificate(t, exhaustive=True)
+    swept = best_certificate(t, _oracles.units(t.n))
     assert swept.run_length >= default.run_length
-    with pytest.raises(ValueError):
-        best_certificate(_T(2, 17, (1,)), exhaustive=True)
 
 
 def test_exhaustive_sweep_never_beats_exact_distance():
     t = _T(2, 5, (1,))
-    found = exact_min_distance(from_defining_set(field(5), t))
-    assert best_certificate(t, exhaustive=True).d_lower <= found.lower
+    found = exact_min_distance(from_defining_set(t))
+    assert best_certificate(t, _oracles.units(t.n)).d_lower <= found.lower
 
 
 def test_lemma_window_values():
@@ -257,7 +254,7 @@ def test_dual_certificate_reaches_predicted_bound():
 def test_bounded_full_space_code():
     import duadic as D
 
-    full = D.from_defining_set(field(3), DefiningSet(7, 0))
+    full = D.from_defining_set(DefiningSet(7, 0))
     found = D.bounded_min_distance(full, effort=0)
     assert found.lower == found.upper == 1 and found.exact
 
@@ -289,7 +286,7 @@ def test_sqrt_bounds_values():
 
 def test_min_odd_weight_meets_sqrt_equality_at_m3():
     # n = 7: the bound d0^2 - d0 + 1 >= n is met with equality by d0 = 3
-    c = from_defining_set(field(3), _T(2, 3, (1,)))
+    c = from_defining_set(_T(2, 3, (1,)))
     found = exact_min_distance(c)
     assert found.min_odd_weight == 3
     assert 3 * 3 - 3 + 1 == 7

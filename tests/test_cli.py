@@ -15,7 +15,6 @@ from duadic.bounds import best_certificate, max_ap_run
 from duadic.cli import _catalog_rows, main
 from duadic.code import CyclicCode, dual, extend, from_defining_set
 from duadic.cyclotomic import WeightClassSpec, defining_set
-from duadic.gf2m import field
 from duadic.mindist import exact_min_distance
 
 from _oracles import from_leaders
@@ -52,7 +51,7 @@ def test_construct_json_round_trips_generators_and_leaders(capsys):
     code, payload, _ = run_json(capsys, "construct", "-r", "2", "-m", "5", "-S", "1")
     assert code == 0
     rep = payload["report"]
-    c = from_defining_set(field(5), defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
+    c = from_defining_set(defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
     assert gf2poly.from_hex(rep["generator_hex"]) == c.g
     assert gf2poly.from_hex(rep["dual"]["generator_hex"]) == dual(c).g
     assert from_leaders(rep["n"], rep["defining_set_leaders"]) == c.T
@@ -164,7 +163,7 @@ def test_table_ext_exact_d_matches_the_extended_code(capsys):
         assert code == 0
         for row in payload["rows"]:
             spec = WeightClassSpec(r=r, m=row["m"], S=tuple(map(int, s.split(","))), unchecked=True)
-            c = from_defining_set(field(row["m"]), defining_set(spec))
+            c = from_defining_set(defining_set(spec))
             assert row["ext_exact_d"] == exact_min_distance(extend(c)).lower, row
             parities.add(row["exact_d"] % 2)
     assert parities == {0, 1}
@@ -233,9 +232,9 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
     calls = []
     generator_poly = gf2poly.generator_poly
 
-    def counted(fld, T):
+    def counted(T):
         calls.append(T)
-        return generator_poly(fld, T)
+        return generator_poly(T)
 
     monkeypatch.setattr(gf2poly, "generator_poly", counted)
     code, payload, _ = run_json(capsys, "table", "-r", "16", "-S", "all", "-m", "9")
@@ -253,9 +252,9 @@ def test_mindist_builds_from_the_class_polynomials(capsys, monkeypatch):
     calls = []
     generator_poly = gf2poly.generator_poly
 
-    def counted(fld, T):
+    def counted(T):
         calls.append(T)
-        return generator_poly(fld, T)
+        return generator_poly(T)
 
     monkeypatch.setattr(gf2poly, "generator_poly", counted)
     code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "9", "-S", "1", "--code", "dual")
@@ -370,7 +369,7 @@ def test_mindist_search_over_the_memory_budget_is_refused(capsys, monkeypatch):
 
 
 def test_mindist_effort_zero_reads_one_generator_row(capsys, monkeypatch):
-    c = from_defining_set(field(17), defining_set(WeightClassSpec(r=2, m=17, S=(1,))))
+    c = from_defining_set(defining_set(WeightClassSpec(r=2, m=17, S=(1,))))
     monkeypatch.setattr(CyclicCode, "generator_rows", _rows_must_not_be_read)
     code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "17", "-S", "1", "--effort", "0")
     assert code == 0

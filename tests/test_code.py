@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from duadic import gf2poly
 from duadic.code import (
+    CyclicCode,
     dual,
     extend,
     from_class_polys,
@@ -17,14 +19,14 @@ from duadic.code import (
 )
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
-from duadic.gf2poly import ClassPolys, class_polys, generator_poly, product
+from duadic.gf2poly import ClassPolys, class_polys, product
 from duadic.pairs import enumerate_catalog
 
-from _oracles import eval_at_powers, from_leaders, is_even_weight_subcode, matrix_product_is_zero, rank
+from _oracles import eval_at_powers, from_indices, from_leaders, is_even_weight_subcode, matrix_product_is_zero, rank
 
 
 def _code(r, m, S):
-    return from_defining_set(field(m), defining_set(WeightClassSpec(r=r, m=m, S=S)))
+    return from_defining_set(defining_set(WeightClassSpec(r=r, m=m, S=S)))
 
 
 def _all_codewords(c):
@@ -38,7 +40,7 @@ def _all_codewords(c):
 def test_from_defining_set_examples():
     c = _code(2, 3, (0,))
     assert (c.n, c.k) == (7, 4) and c.g == 0xD
-    full = from_defining_set(field(3), DefiningSet(7, 0))
+    full = from_defining_set(DefiningSet(7, 0))
     assert (full.n, full.k) == (7, 7) and full.g == 1
     c31 = _code(2, 5, (1,))
     assert (c31.n, c31.k) == (31, 16)
@@ -46,7 +48,14 @@ def test_from_defining_set_examples():
 
 def test_from_defining_set_requires_closure():
     with pytest.raises(ValueError):
-        from_defining_set(field(3), DefiningSet.from_indices(7, [1, 2]))
+        from_defining_set(from_indices(7, [1, 2]))
+
+
+def test_a_code_holds_only_g_h_and_its_defining_set():
+    assert [f.name for f in dataclasses.fields(CyclicCode)] == ["g", "h", "T"]
+    c = _code(2, 5, (1,))
+    assert (c.n, c.k) == (31, 16)
+    assert gf2poly.mul(c.g, c.h) == gf2poly.x_pow_plus_one(c.n)
 
 
 def test_generator_rows_are_codewords_of_rank_k():
@@ -78,13 +87,12 @@ def _unchecked_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_unchecked_specs())
 def test_class_route_matches_the_generic_route(spec):
-    fld = field(spec.m)
-    t_set = defining_set(spec)
     c = from_class_polys(spec, class_polys(spec.m, spec.r))
-    assert c.g == generator_poly(fld, t_set)
-    assert (c.k, c.T) == (spec.n - t_set.size, t_set)
-    d, d_generic = dual(c), dual(from_defining_set(fld, t_set))
-    assert (d.g, d.k, d.T) == (d_generic.g, d_generic.k, d_generic.T)
+    generic = from_defining_set(defining_set(spec))
+    assert c == generic  # g, h and T
+    assert c.k == spec.n - c.T.size
+    assert dual(c) == dual(generic)
+    assert dual(dual(c)) == c
 
 
 def test_class_route_check_polynomial_is_verified():
@@ -114,7 +122,7 @@ def test_catalog_specs_from_one_shared_class_set_equal_specs_built_alone(r, m, m
     assert 2 * shared_products <= len(products) - shared_products
     monkeypatch.undo()
     for spec, c, c_alone in zip(specs, codes, alone):
-        assert (c, c.h) == (c_alone, c_alone.h)
+        assert c == c_alone
         assert c.g == product([shared.polys[i] for i in spec.S])
         assert c.h == product([0b11] + [p for i, p in enumerate(shared.polys) if i not in spec.S])
 
@@ -175,7 +183,7 @@ def test_extended_rows_have_even_weight():
 def test_self_dual_examples():
     assert is_self_dual(extend(_code(2, 3, (1,))))
     assert is_self_dual(extend(_code(2, 5, (1,))))
-    full = from_defining_set(field(3), DefiningSet(7, 0))
+    full = from_defining_set(DefiningSet(7, 0))
     assert not is_self_dual(extend(full))  # [8,7]: dimension rules it out
 
 
@@ -185,12 +193,12 @@ def test_self_orthogonality_shortcut_matches_matrix_product(m):
     # that T u -T covers Z_n \ {0} in some and misses in others; at odd m
     # also the catalog specs; and the duals of all of them
     rng = random.Random(m)
-    fld = field(m)
-    leaders = DefiningSet.full(fld.n).coset_leaders()
+    n = (1 << m) - 1
+    leaders = DefiningSet.full(n).coset_leaders()
     codes = []
     for density in (0.5, 0.75, 0.9) * 8:
         chosen = [s for s in leaders if rng.random() < density]
-        codes.append(from_defining_set(fld, from_leaders(fld.n, chosen)))
+        codes.append(from_defining_set(from_leaders(n, chosen)))
     if m % 2:
         codes += [_code(r, m, s) for r in (2, 4, 8) for s in enumerate_catalog(r, m % r)]
     codes += [dual(c) for c in codes]
@@ -225,7 +233,7 @@ def test_membership_routes_agree():
         words += [_encode(c, rng.getrandbits(c.k)) for _ in range(10)]
         for w in words:
             by_poly = c.contains(w)
-            by_roots = bool((eval_at_powers(c.field, w, exps) == 0).all())
+            by_roots = bool((eval_at_powers(field(m), w, exps) == 0).all())
             assert by_poly == by_roots
 
 

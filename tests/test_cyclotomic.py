@@ -15,7 +15,7 @@ from duadic.cyclotomic import (
     rotations,
 )
 
-from _oracles import from_leaders
+from _oracles import from_indices, from_leaders
 
 
 def test_coset_examples():
@@ -60,7 +60,7 @@ def test_partition_and_closure(m, r):
     comp = complement_spec(spec)
     t1, t2 = defining_set(spec), defining_set(comp)
     n = spec.n
-    assert (t1 & t2).size == 0
+    assert t1.bits & t2.bits == 0
     assert (t1 | t2).bits == ((1 << n) - 1) ^ 1  # everything except 0
     assert t1.size + t2.size == n - 1
     assert t1.is_closed_under_doubling() and t2.is_closed_under_doubling()
@@ -130,16 +130,22 @@ def test_negated_is_involution():
 
 def test_from_indices_bounds():
     with pytest.raises(ValueError):
-        DefiningSet.from_indices(7, [7])
+        from_indices(7, [7])
     with pytest.raises(ValueError, match=r"2\^m - 1"):
-        DefiningSet.from_indices(5, [1, 2, 3, 4])  # one coset mod 5, which coset_leaders would split
-    assert DefiningSet.from_indices(7, []).size == 0
+        from_indices(5, [1, 2, 3, 4])  # one coset mod 5, which coset_leaders would split
+    assert from_indices(7, []).size == 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 6, 9, (1 << 21) - 1])
 def test_defining_set_needs_n_of_the_form_2_to_the_m_minus_1(n):
     with pytest.raises(ValueError, match=r"2\^m - 1"):
         DefiningSet(n=n, bits=0)
+
+
+def test_union_needs_one_z_n():
+    assert (DefiningSet(7, 0b10) | DefiningSet(7, 0b100)).bits == 0b110
+    with pytest.raises(ValueError, match="different Z_n"):
+        DefiningSet(7, 0b10) | DefiningSet(15, 0b10)
 
 
 def test_with_without_zero():
@@ -185,7 +191,7 @@ def _subsets(draw, max_m):
     closed = draw(st.booleans())
     if closed:
         members = [e for s in members for e in coset(s, n).elements]
-    return DefiningSet.from_indices(n, members)
+    return from_indices(n, members)
 
 
 @settings(max_examples=100, deadline=None)

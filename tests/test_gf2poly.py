@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from duadic import gf2poly
 from duadic.code import dual, from_defining_set
 from duadic.cyclotomic import CyclotomicCoset, DefiningSet, WeightClassSpec, coset, defining_set
-from duadic.gf2m import GF2m, field
+from duadic.gf2m import field
 from duadic.gf2poly import (
     check_poly,
     degree,
@@ -26,7 +26,7 @@ from duadic.gf2poly import (
     x_pow_plus_one,
 )
 
-from _oracles import class_polys_direct, eval_at_powers, evaluate, field_mul, from_leaders
+from _oracles import class_polys_direct, eval_at_powers, evaluate, field_mul, from_indices, from_leaders
 
 
 def test_mul_basics():
@@ -70,23 +70,28 @@ def test_reciprocal():
 
 
 def test_minimal_poly_m3():
-    f = field(3)
-    assert minimal_poly(f, coset(0, 7)) == 0b11  # x + 1
-    assert minimal_poly(f, coset(1, 7)) == 0xB
-    assert minimal_poly(f, coset(3, 7)) == 0xD
+    assert minimal_poly(coset(0, 7)) == 0b11  # x + 1
+    assert minimal_poly(coset(1, 7)) == 0xB
+    assert minimal_poly(coset(3, 7)) == 0xD
 
 
 def test_minimal_poly_rejects_broken_coset():
-    f = field(3)
     fake = CyclotomicCoset(n=7, leader=1, elements=(1, 2))  # not doubling-closed
     with pytest.raises(ValueError):
-        minimal_poly(f, fake)
+        minimal_poly(fake)
+
+
+@pytest.mark.parametrize("n", [5, 9, 21])
+def test_minimal_poly_rejects_a_length_that_is_not_two_to_the_m_minus_one(n):
+    # n fixes the field GF(2^m) only when n = 2^m - 1
+    with pytest.raises(ValueError, match="not 2\\^m - 1"):
+        minimal_poly(coset(1, n))
 
 
 def test_minimal_poly_degree_and_roots():
     f = field(9)
     cs = coset(5, f.n)
-    p = minimal_poly(f, cs)
+    p = minimal_poly(cs)
     assert degree(p) == cs.size
     for i in cs.elements:
         assert evaluate(f, p, int(f.antilog_table[i])) == 0
@@ -107,18 +112,16 @@ def test_minimal_poly_irreducible(m):
     rng = random.Random(m)
     reps = rng.sample(range(1, f.n), 5)
     for s in reps:
-        assert _is_irreducible(minimal_poly(f, coset(s, f.n)))
+        assert _is_irreducible(minimal_poly(coset(s, f.n)))
 
 
 def test_generator_poly_examples():
-    f = field(3)
     t = defining_set(WeightClassSpec(r=2, m=3, S=(1,)))
-    assert generator_poly(f, t) == 0xB
-    assert generator_poly(f, DefiningSet(7, 0)) == 1
+    assert generator_poly(t) == 0xB
+    assert generator_poly(DefiningSet(7, 0)) == 1
 
-    f5 = field(5)
     t5 = defining_set(WeightClassSpec(r=2, m=5, S=(1,)))
-    g5 = generator_poly(f5, t5)
+    g5 = generator_poly(t5)
     assert degree(g5) == t5.size == 15
     assert g5 == 0xDD5D  # frozen from an independent table-free expansion
     assert mod(x_pow_plus_one(31), g5) == 0
@@ -140,7 +143,7 @@ def test_generator_times_check_is_xn_plus_one(m):
         r = rng.choice([2, 4, 6, 8])
         s = tuple(sorted(rng.sample(range(r), r // 2)))
         t = defining_set(WeightClassSpec(r=r, m=m, S=s))
-        g = generator_poly(f, t)
+        g = generator_poly(t)
         assert mul(g, check_poly(g, f.n)) == x_pow_plus_one(f.n)
 
 
@@ -152,7 +155,7 @@ def test_root_set_faithfulness(m):
     r = rng.choice([2, 4, 8])
     s = tuple(sorted(rng.sample(range(r), r // 2)))
     t = defining_set(WeightClassSpec(r=r, m=m, S=s))
-    g = generator_poly(f, t)
+    g = generator_poly(t)
     values = eval_at_powers(f, g)
     roots = np.flatnonzero(values == 0)
     assert sorted(roots.tolist()) == sorted(t.indices().tolist())
@@ -255,7 +258,7 @@ def test_minimal_poly_table_matches_scalar_expansion(m):
         table = gf2poly._minimal_poly_table.__wrapped__(m)
     for cs in cosets:
         expected = _scalar_minimal_poly(f, cs.elements)
-        assert minimal_poly(f, cs) == expected
+        assert minimal_poly(cs) == expected
         assert all(table[e] == expected for e in cs.elements)
     # a coset is expanded unless it is the negation of one with a smaller leader
     expanded = sum(cs.leader <= f.n - max(cs.elements) for cs in cosets)
@@ -284,11 +287,10 @@ def test_chunked_minimal_poly_table_matches_scalar_expansion(m):
 
 
 def test_minimal_poly_table_is_kept_once_per_m():
-    # the table depends on m alone, so fields built outside `field` share it
-    # and are not kept alive by it
+    # the table depends on m alone, so the codes of one m share it
     gf2poly._minimal_poly_table.cache_clear()
     T = from_leaders(511, [1, 3, 5])
-    codes = [from_defining_set(GF2m(9), T) for _ in range(3)]
+    codes = [from_defining_set(T) for _ in range(3)]
     assert len({c.g for c in codes}) == 1
     assert gf2poly._minimal_poly_table.cache_info().currsize == 1
 
@@ -314,7 +316,7 @@ def test_minimal_poly_rejects_non_orbits(elements):
     # a union of two cosets, a repeated member, members outside Z_7, a repeated zero, nothing
     fake = CyclotomicCoset(n=7, leader=min(elements, default=0), elements=elements)
     with pytest.raises(ValueError):
-        minimal_poly(field(3), fake)
+        minimal_poly(fake)
 
 
 @st.composite
@@ -330,8 +332,8 @@ def _specs(draw, max_m):
 def test_generator_times_complement_generator_is_xn_plus_one(spec):
     f = field(spec.m)
     t = defining_set(spec)
-    g = generator_poly(f, t)
-    h = generator_poly(f, t.complement())
+    g = generator_poly(t)
+    h = generator_poly(t.complement())
     assert degree(g) == t.size
     assert mul(g, h) == x_pow_plus_one(f.n)
     assert h == check_poly(g, f.n)
@@ -340,22 +342,21 @@ def test_generator_times_complement_generator_is_xn_plus_one(spec):
 @settings(max_examples=20, deadline=None)
 @given(_specs(11))
 def test_dual_generator_is_reciprocal_of_division_quotient(spec):
-    c = from_defining_set(field(spec.m), defining_set(spec))
+    c = from_defining_set(defining_set(spec))
     assert dual(c).g == reciprocal(check_poly(c.g, c.n))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_specs(13))
 def test_dual_defining_set_is_complement_of_negation(spec):
-    f = field(spec.m)
-    c = from_defining_set(f, defining_set(spec))
+    c = from_defining_set(defining_set(spec))
     expected = set(range(c.n)) - {(-j) % c.n for j in c.T.indices()}
     d = dual(c)
     assert set(d.T.indices()) == expected
-    assert d.g == generator_poly(f, DefiningSet.from_indices(c.n, sorted(expected)))
+    assert d.g == generator_poly(from_indices(c.n, sorted(expected)))
 
 
 def test_dual_rejects_a_generator_that_is_not_the_product():
-    c = from_defining_set(field(5), defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
+    c = from_defining_set(defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
     with pytest.raises(AssertionError, match="x\\^n \\+ 1"):
         dual(replace(c, g=c.g ^ 0b10))

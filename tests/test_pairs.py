@@ -64,7 +64,7 @@ def test_splitting_bitmaps(m):
             t1, t2 = defining_set(spec), defining_set(complement_spec(spec))
             n = t1.n
             assert t1.size == t2.size == (n - 1) // 2
-            assert (t1 & t2).size == 0
+            assert t1.bits & t2.bits == 0
             assert (t1 | t2).bits == ((1 << n) - 1) ^ 1
             assert t1.negated() == t2
             assert t2.negated() == t1
@@ -128,7 +128,6 @@ def test_predictions_hold_against_exact_enumeration():
     # every predicted bound (primal, dual, extended) is met by the true
     # minimum distances wherever full enumeration is affordable
     from duadic.code import dual, extend, from_defining_set
-    from duadic.gf2m import field
     from duadic.mindist import exact_min_distance
 
     for m in (3, 5):
@@ -137,7 +136,7 @@ def test_predictions_hold_against_exact_enumeration():
                 spec = WeightClassSpec(r=r, m=m, S=s)
                 verdict = classify(spec)
                 assert verdict.theorem != "none", (m, r, s)
-                c = from_defining_set(field(m), defining_set(spec))
+                c = from_defining_set(defining_set(spec))
                 assert exact_min_distance(c).lower >= verdict.d_lower
                 assert exact_min_distance(dual(c)).lower >= verdict.d_dual_lower
                 assert exact_min_distance(extend(c)).lower >= verdict.d_ext_lower

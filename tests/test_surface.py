@@ -1,9 +1,11 @@
 """The package's public surface: the README's Library block runs and states
-true values, every exported name has a use in the package or in that
-block, and no module imports a name it never uses."""
+true values, every exported name and every function and method has a use
+in the package or in that block, and no module imports a name it never
+uses."""
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,9 @@ import duadic
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "duadic"
 
-# Exported names whose only caller is still to come.
-PENDING = {"sqrt_bounds": "ROADMAP item 1"}
+# Names whose only caller is still to come, or that only the benchmark's
+# tracing hooks call.
+PENDING = {"sqrt_bounds": "ROADMAP item 1", "check_poly": "perfbench tracing target until ROADMAP item 2"}
 
 
 def _library_block():
@@ -24,17 +27,27 @@ def _library_block():
     return match.group(1)
 
 
-def _references(tree, skip=range(0)):
-    """Names read as a Name or an Attribute anywhere in tree, except on the lines in skip."""
-    found = set()
+def _reference_sites(tree):
+    """(name, line) of every Name or Attribute read in tree."""
     for node in ast.walk(tree):
-        if getattr(node, "lineno", None) in skip:
-            continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-    return found
+            yield node.attr, node.lineno
+
+
+def _references(tree):
+    """Names read as a Name or an Attribute anywhere in tree."""
+    return {name for name, _ in _reference_sites(tree)}
+
+
+def _package_sites():
+    """Name -> the (module, line) of each place a module of the package reads it."""
+    sites = defaultdict(set)
+    for path in _modules():
+        for name, line in _reference_sites(ast.parse(path.read_text())):
+            sites[name].add((path.stem, line))
+    return sites
 
 
 def _modules():
@@ -67,8 +80,15 @@ def test_readme_library_block_states_true_values():
     assert values["D.weight_distribution(D.extend(small)).is_doubly_even"] is True
 
 
+def _used_outside(name, home, definition, sites):
+    """Whether the package reads name anywhere but on the lines of its definition in module home."""
+    own = range(definition.lineno, definition.end_lineno + 1)
+    return any(stem != home or line not in own for stem, line in sites[name])
+
+
 def test_every_exported_name_has_a_use():
     trees = {p.stem: ast.parse(p.read_text()) for p in _modules()}
+    sites = _package_sites()
     documented = _references(ast.parse(_library_block()))
     unused = []
     for name in duadic.__all__:
@@ -79,10 +99,26 @@ def test_every_exported_name_has_a_use():
             node for node in trees[home].body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
         )
-        own = range(definition.lineno, definition.end_lineno + 1)
-        if not any(name in _references(tree, own if stem == home else range(0)) for stem, tree in trees.items()):
+        if not _used_outside(name, home, definition, sites):
             unused.append(name)
     assert not unused, f"exported but used by no module and not in the README Library block: {unused}"
+
+
+def test_every_function_and_method_has_a_use():
+    # by name: a method counts as used when any module reads an attribute of its name
+    sites = _package_sites()
+    documented = _references(ast.parse(_library_block()))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in documented
+        and node.name not in PENDING
+        and not _used_outside(node.name, path.stem, node, sites)
+    ]
+    assert not unused, f"defined but used by no module and not in the README Library block: {unused}"
 
 
 @pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
