@@ -26,6 +26,18 @@ def rotations(x, m):
         yield x
 
 
+@lru_cache(maxsize=None)
+def leaders_of_z_n(m):
+    """The coset leaders of Z_n, n = 2^m - 1, ascending, as a read-only
+    int32 array: the residues equal to the minimum of their m rotations.
+    Kept once per m for `DefiningSet.coset_leaders` and the minimal
+    polynomial table."""
+    residues = np.arange((1 << m) - 1, dtype=np.int32)
+    leaders = residues[reduce(np.minimum, rotations(residues, m)) == residues]
+    leaders.flags.writeable = False
+    return leaders
+
+
 @dataclass(frozen=True)
 class CyclotomicCoset:
     """Orbit of s under doubling mod n; leader is the smallest member."""
@@ -81,9 +93,6 @@ class DefiningSet:
     def bool_array(self):
         return _bits_to_bool(self.bits, self.n)
 
-    def indices(self):
-        return np.flatnonzero(self.bool_array())
-
     def __or__(self, other):
         if self.n != other.n:
             raise ValueError("defining sets live in different Z_n")
@@ -111,13 +120,15 @@ class DefiningSet:
     def coset_leaders(self):
         """Leaders of the cosets making up this set, ascending.
 
-        Each member's orbit minimum is taken over its m rotations. The
-        leader of an orbit is its smallest member in the set.
+        For each leader of Z_n, the minimum over its m rotations that lie
+        in the set, so the leader of an orbit is its smallest member in
+        the set, whether or not the set is closed under doubling.
         """
-        members = self.indices().astype(np.int32)
-        orbit_min = reduce(np.minimum, rotations(members, self.n.bit_length()))
-        _, first = np.unique(orbit_min, return_index=True)
-        return np.sort(members[first]).tolist()
+        arr = self.bool_array()
+        outside = np.int32(self.n)
+        m = self.n.bit_length()
+        best = reduce(np.minimum, (np.where(arr[x], x, outside) for x in rotations(leaders_of_z_n(m), m)))
+        return np.sort(best[best < outside]).tolist()
 
 
 def check_r(r):

@@ -70,12 +70,36 @@ def smallest_primitive_modulus(m):
     raise AssertionError(f"no primitive polynomial of degree {m}")  # unreachable
 
 
+# Exponents the antilog table fills one at a time before it starts doubling.
+_HEAD = 256
+
+
+def _times_constant(c, v, modulus, m):
+    """c * v for a field element c and a uint32 array v of field elements.
+
+    Multiplying by c is GF(2)-linear, so the product is the xor, over the
+    bytes of v, of a lookup in a 256-entry table per byte, built from the
+    images c * alpha^i of the basis elements alpha^i.
+    """
+    out = np.zeros_like(v)
+    for low in range(0, m, 8):
+        table = np.zeros(256, dtype=np.uint32)
+        for k in range(min(8, m - low)):
+            table[1 << k : 2 << k] = table[: 1 << k] ^ _mulmod(c, 1 << (low + k), modulus, m)
+        out ^= table[(v >> low) & 0xFF]
+    return out
+
+
 class GF2m:
     """The field GF(2^m), 2 <= m <= 20, with alpha = x primitive, as its tables.
 
     antilog_table[e] = alpha^e for e in Z_n, and log_table[a] = e with
     alpha^e = a for nonzero a, log_table[0] = -1 (n = 2^m - 1). Both are
     read-only numpy arrays, so an instance is safe for concurrent reads.
+
+    The antilog table is filled one power at a time only for e < 256.
+    Then the filled prefix a[0:B] doubles: a[B:2B] = alpha^B * a[0:B], by
+    `_times_constant`, about log2(n / 256) numpy passes in all.
     """
 
     __slots__ = ("m", "n", "modulus", "antilog_table", "log_table")
@@ -84,20 +108,26 @@ class GF2m:
         self.modulus = smallest_primitive_modulus(m)
         self.m = m
         self.n = (1 << m) - 1
-        antilog = [0] * self.n
+        antilog = np.empty(self.n, dtype=np.uint32)
+        filled = min(self.n, _HEAD)
         x = 1
         top = 1 << m
-        for e in range(self.n):
+        for e in range(filled):
             antilog[e] = x
             x <<= 1
             if x & top:
                 x ^= self.modulus
-        self.antilog_table = np.array(antilog, dtype=np.uint32)
+        # x = alpha^filled from here on
+        while filled < self.n:
+            step = min(filled, self.n - filled)
+            antilog[filled : filled + step] = _times_constant(x, antilog[:step], self.modulus, m)
+            filled += step
+            x = _mulmod(x, x, self.modulus, m)
         log = np.full(1 << m, -1, dtype=np.int32)
-        log[self.antilog_table] = np.arange(self.n, dtype=np.int32)
-        self.antilog_table.flags.writeable = False
+        log[antilog] = np.arange(self.n, dtype=np.int32)
+        antilog.flags.writeable = False
         log.flags.writeable = False
-        self.log_table = log
+        self.antilog_table, self.log_table = antilog, log
 
     def __repr__(self):
         return f"GF2m(m={self.m}, modulus={self.modulus:#x})"

@@ -7,8 +7,9 @@ set or coset fixes m, and the field is field(m). The path that builds a
 polynomial costs O(n log^2 n) rather than O(n^2):
 
 - The minimal polynomials of all cosets of GF(2^m) are expanded together
-  in one vectorised pass over the orbits of `cyclotomic.rotations` and
-  kept per m (`_minimal_poly_table`).
+  in one vectorised pass over the orbits of the leaders of Z_n and kept
+  per m (`_minimal_poly_table`). The leader array is itself kept per m
+  (`cyclotomic.leaders_of_z_n`) and shared with `DefiningSet.coset_leaders`.
 - `generator_poly(T)` multiplies the minimal polynomials of the cosets
   of T, each read by `minimal_poly(cs)`, through a balanced product tree.
 - The code of a weight-class spec (r, m, S) needs no per-coset product.
@@ -34,10 +35,10 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   every product tree.
 - Above it, `mul` convolves the 0/1 coefficient vectors with a float64
   FFT, rounds, and reduces mod 2. numpy's transform holds about four
-  buffers of the transform length at once, so a product longer than
-  FFT_MAX_BITS is split into halves of its longer operand first. Each
-  FFT's buffers then stay near 2 MB, and peak memory at m = 19 stays
-  where building the GF(2^m) tables already puts it.
+  buffers of the transform length at once, so a product of more than
+  FFT_MAX_BITS bits (la + lb - 1 for operands of la and lb bits) is split
+  into halves of its longer operand first. Each FFT's buffers then stay
+  near 2 MB.
 - The exact coefficients are integers below 2^18, far inside float64's
   exact range, and the transform's error is far below 1/2. That margin is
   measured, not proven, so the rounding guard requires every coefficient
@@ -46,11 +47,11 @@ polynomial costs O(n log^2 n) rather than O(n^2):
 """
 
 from bisect import bisect_left
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from ._bits import from_bool, to_bool
 from ._numpy import np
-from .cyclotomic import coset, rotations, weight_classes
+from .cyclotomic import coset, leaders_of_z_n, rotations, weight_classes
 from .gf2m import field
 
 NEG_INF = float("-inf")
@@ -77,7 +78,7 @@ def mul(a, b):
     la, lb = a.bit_length(), b.bit_length()
     if min(la, lb) < FFT_MIN_BITS:
         return _mul_shift_xor(a, b)
-    if la + lb > FFT_MAX_BITS:
+    if la + lb - 1 > FFT_MAX_BITS:
         if la < lb:
             a, b, la = b, a, lb
         half = la // 2
@@ -161,16 +162,15 @@ def x_pow_plus_one(n):
 def _minimal_poly_table(m):
     """Minimal polynomial of alpha^j in field(m) for every j in Z_n, as uint32 bitmasks.
 
-    The leaders of Z_n are the residues equal to their own orbit minimum,
-    and orbits[:, k] = leader * 2^k mod n. Each coset's product
+    The leaders of Z_n are read from `cyclotomic.leaders_of_z_n`, and
+    orbits[:, k] = leader * 2^k mod n. Each coset's product
     prod (x - alpha^i) is expanded in GF(2^m)[x] with numpy over its row of
     int32 exponents, all cosets of one size at a time. Only a coset C whose
     leader is at most n - max(C), the leader of -C, is expanded; the
     reversed masks fill the entries of -C.
     """
     fld, n = field(m), (1 << m) - 1
-    residues = np.arange(n, dtype=np.int32)
-    leaders = residues[reduce(np.minimum, rotations(residues, m)) == residues]
+    leaders = leaders_of_z_n(m)
     orbits = np.stack(list(rotations(leaders, m)), axis=1)
     orbits = orbits[leaders <= n - orbits.max(axis=1)]
     # m doublings run round a coset of size d exactly m / d times
@@ -293,10 +293,6 @@ def class_polys(m, r):
     index is built and its partner is its reciprocal; a class that is its
     own partner (2c = m mod r, only at even m) is built directly.
     """
-    # The field first: building its tables frees an n-element list, and
-    # freeing it before the class bitmaps are allocated keeps the peak RSS
-    # of `construct -r 2 -m 19 -S 1` at 54 MB instead of 57 MB.
-    field(m)
     polys = [None] * r
     for c, w in enumerate(weight_classes(m, r)):
         partner = (m - c) % r

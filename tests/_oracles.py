@@ -51,10 +51,45 @@ def from_indices(n, indices):
     return DefiningSet(n=n, bits=sum(1 << j for j in members))
 
 
+def members(T):
+    """The residues of the defining set T, ascending."""
+    return np.flatnonzero(T.bool_array()).tolist()
+
+
 def from_leaders(n, leaders):
     """The defining set made of the cosets of the given leaders, the inverse
     of `DefiningSet.coset_leaders`."""
     return from_indices(n, [j for s in leaders for j in coset(s, n).elements])
+
+
+def leaders_of_z_n(m):
+    """The coset leaders of Z_n, n = 2^m - 1, ascending, by walking each
+    orbit under doubling from its smallest residue."""
+    n = (1 << m) - 1
+    seen = bytearray(n)
+    leaders = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        leaders.append(s)
+        x = s
+        while not seen[x]:
+            seen[x] = 1
+            x = 2 * x % n
+    return leaders
+
+
+def antilog_table(m, modulus):
+    """alpha^e for e in Z_n, n = 2^m - 1, one power at a time: alpha = x
+    multiplied in and reduced by the degree-m modulus."""
+    table = []
+    x = 1
+    for _ in range((1 << m) - 1):
+        table.append(x)
+        x <<= 1
+        if x >> m:
+            x ^= modulus
+    return np.array(table, dtype=np.uint32)
 
 
 def units(n):

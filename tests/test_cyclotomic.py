@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duadic import cyclotomic
 from duadic.cyclotomic import (
     CyclotomicCoset,
     DefiningSet,
@@ -15,7 +17,7 @@ from duadic.cyclotomic import (
     rotations,
 )
 
-from _oracles import from_indices, from_leaders
+from _oracles import from_indices, from_leaders, leaders_of_z_n, members
 
 
 def test_coset_examples():
@@ -47,9 +49,9 @@ def test_coset_rejects_even_modulus():
 
 def test_defining_set_examples():
     t0 = defining_set(WeightClassSpec(r=2, m=3, S=(0,)))
-    assert sorted(t0.indices().tolist()) == [3, 5, 6]
+    assert members(t0) == [3, 5, 6]
     t1 = defining_set(WeightClassSpec(r=2, m=3, S=(1,)))
-    assert sorted(t1.indices().tolist()) == [1, 2, 4]
+    assert members(t1) == [1, 2, 4]
     assert 0 not in t0 and 0 not in t1
 
 
@@ -172,7 +174,7 @@ def _scalar_coset_leaders(t):
     """Reference: walk each orbit from its first member in the set."""
     seen = np.zeros(t.n, dtype=bool)
     leaders = []
-    for s in t.indices().tolist():
+    for s in members(t):
         if seen[s]:
             continue
         leaders.append(s)
@@ -213,7 +215,19 @@ def test_rotation_minimum_is_the_coset_leader(m_residues):
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_fixed_points_of_the_rotation_minimum_are_the_leaders_of_z_n(m):
-    n = (1 << m) - 1
-    residues = np.arange(n, dtype=np.int32)
-    fixed = residues[reduce(np.minimum, rotations(residues, m)) == residues]
-    assert fixed.tolist() == DefiningSet.full(n).coset_leaders()
+    leaders = cyclotomic.leaders_of_z_n(m)
+    assert leaders.dtype == np.int32 and not leaders.flags.writeable
+    assert leaders.tolist() == leaders_of_z_n(m)
+    assert DefiningSet.full((1 << m) - 1).coset_leaders() == leaders.tolist()
+
+
+def _binary_necklaces(m):
+    """N(m) = (1/m) sum_{d | m} phi(d) 2^(m/d), the binary necklaces of length m."""
+    phi = [sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(m + 1)]
+    return sum(phi[d] << (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_leaders_of_z_n_count_the_binary_necklaces(m):
+    # the cosets of Z_n are the necklaces of m bits but the all-ones one, which is n = 0 mod n
+    assert len(cyclotomic.leaders_of_z_n(m)) == _binary_necklaces(m) - 1

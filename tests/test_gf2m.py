@@ -1,13 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duadic import gf2m
 from duadic.gf2m import GF2m, _mulmod, _prime_factors, field, smallest_primitive_modulus
 
-from _oracles import field_mul
+from _oracles import antilog_table, field_mul
 
 # Prime factors of 2^m - 1 for every supported degree, kept by hand as the
 # reference for the trial division that `smallest_primitive_modulus` uses.
@@ -84,6 +86,27 @@ def test_antilog_and_log_tables_are_inverse(m):
     assert np.array_equal(np.sort(antilog), np.arange(1, 1 << m))
     assert np.array_equal(log[antilog], np.arange(f.n))
     assert log[0] == -1  # zero has no discrete log
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_antilog_table_follows_the_recurrence(m):
+    # a[e + 1] = x * a[e] mod the modulus over the whole table at once, and
+    # alpha^n = 1 closes the cycle
+    f = field(m)
+    a = f.antilog_table.astype(np.int64)
+    step = a << 1
+    step ^= np.where(step >> m, f.modulus, 0)
+    assert a[0] == 1 and step[-1] == 1
+    assert np.array_equal(step[:-1], a[1:])
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_doubling_fill_equals_the_power_by_power_loop(m):
+    # 256 powers one at a time, then one `_times_constant` pass per doubling
+    with mock.patch.object(gf2m, "_times_constant", wraps=gf2m._times_constant) as times:
+        f = GF2m(m)
+    assert np.array_equal(f.antilog_table, antilog_table(m, f.modulus))
+    assert times.call_count == max(0, math.ceil(math.log2(f.n / 256)))
 
 
 _elements = st.integers(2, 20).flatmap(

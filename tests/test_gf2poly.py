@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duadic import gf2poly
+from duadic import cyclotomic, gf2poly
 from duadic.code import dual, from_defining_set
 from duadic.cyclotomic import CyclotomicCoset, DefiningSet, WeightClassSpec, coset, defining_set
 from duadic.gf2m import field
@@ -26,7 +26,7 @@ from duadic.gf2poly import (
     x_pow_plus_one,
 )
 
-from _oracles import class_polys_direct, eval_at_powers, evaluate, field_mul, from_indices, from_leaders
+from _oracles import class_polys_direct, eval_at_powers, evaluate, field_mul, from_indices, from_leaders, members
 
 
 def test_mul_basics():
@@ -158,7 +158,7 @@ def test_root_set_faithfulness(m):
     g = generator_poly(t)
     values = eval_at_powers(f, g)
     roots = np.flatnonzero(values == 0)
-    assert sorted(roots.tolist()) == sorted(t.indices().tolist())
+    assert roots.tolist() == members(t)
 
 
 def test_eval_at_powers_matches_scalar():
@@ -231,6 +231,22 @@ def test_fft_and_split_paths_match_shift_xor(a, b):
         assert gf2poly._mul_fft(a, b) == _shift_xor(a, b)
 
 
+def test_a_product_of_fft_max_bits_takes_one_transform():
+    # 131329 x 130816 bits, the top product of the m = 19 class product tree,
+    # has exactly FFT_MAX_BITS bits; one bit more and the longer operand splits
+    rng = random.Random(7)
+    la = 131329
+    lb = gf2poly.FFT_MAX_BITS + 1 - la
+    a = sum(1 << rng.randrange(la) for _ in range(40)) | 1 << (la - 1)  # sparse, so shift-xor stays cheap
+    b = rng.getrandbits(lb) | 1 << (lb - 1)
+    expected = _shift_xor(a, b)
+    for shift, transforms in ((0, 1), (1, 2)):
+        with mock.patch.object(gf2poly, "_mul_fft", wraps=gf2poly._mul_fft) as fft:
+            product = mul(a << shift, b)
+        assert fft.call_count == transforms
+        assert product == expected << shift
+
+
 def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
     real_irfft = np.fft.irfft
 
@@ -288,11 +304,15 @@ def test_chunked_minimal_poly_table_matches_scalar_expansion(m):
 
 def test_minimal_poly_table_is_kept_once_per_m():
     # the table depends on m alone, so the codes of one m share it
-    gf2poly._minimal_poly_table.cache_clear()
+    # and reads the leader array of Z_n that `coset_leaders` reads
     T = from_leaders(511, [1, 3, 5])
+    gf2poly._minimal_poly_table.cache_clear()
+    cyclotomic.leaders_of_z_n.cache_clear()
     codes = [from_defining_set(T) for _ in range(3)]
     assert len({c.g for c in codes}) == 1
     assert gf2poly._minimal_poly_table.cache_info().currsize == 1
+    leaders = cyclotomic.leaders_of_z_n.cache_info()
+    assert (leaders.misses, leaders.currsize) == (1, 1)
 
 
 @pytest.mark.parametrize("r", range(2, 17, 2))
@@ -350,9 +370,9 @@ def test_dual_generator_is_reciprocal_of_division_quotient(spec):
 @given(_specs(13))
 def test_dual_defining_set_is_complement_of_negation(spec):
     c = from_defining_set(defining_set(spec))
-    expected = set(range(c.n)) - {(-j) % c.n for j in c.T.indices()}
+    expected = set(range(c.n)) - {(-j) % c.n for j in members(c.T)}
     d = dual(c)
-    assert set(d.T.indices()) == expected
+    assert set(members(d.T)) == expected
     assert d.g == generator_poly(from_indices(c.n, sorted(expected)))
 
 
