@@ -156,24 +156,3 @@ def is_doubly_even(ext):
     """
     row_weight = ext.base.g.bit_count() + ext.parity_bit
     return row_weight % 4 == 0 and _self_orthogonal(ext)
-
-
-def row_reduce(rows):
-    """Reduced row echelon form over GF(2) with leftmost (highest-bit) pivots.
-
-    Returns (reduced nonzero rows, pivot bit positions), deterministic.
-    """
-    rows = list(rows)
-    pivots = []
-    reduced = []
-    while rows:
-        piv_row = max(rows)  # the numerically largest row has the highest leading bit
-        if piv_row == 0:
-            break
-        rows.remove(piv_row)
-        p = piv_row.bit_length() - 1
-        rows = [row ^ piv_row if (row >> p) & 1 else row for row in rows]
-        reduced = [row ^ piv_row if (row >> p) & 1 else row for row in reduced]
-        reduced.append(piv_row)
-        pivots.append(p)
-    return reduced, pivots

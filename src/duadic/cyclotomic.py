@@ -16,24 +16,33 @@ from ._numpy import np
 from .gf2m import M_MAX, M_MIN
 
 
+def _doubled(x, m):
+    """2x mod n, n = 2^m - 1, over an int32 array of residues: doubling mod
+    n rotates the m-bit residue left by one."""
+    return (x << 1 | x >> (m - 1)) & ((1 << m) - 1)
+
+
 def rotations(x, m):
     """Yield x * 2^k mod n, n = 2^m - 1, for k = 0..m-1 over an int32 array
-    of residues: doubling mod n rotates the m-bit residue left by one."""
-    n = (1 << m) - 1
+    of residues."""
     yield x
     for _ in range(m - 1):
-        x = (x << 1 | x >> (m - 1)) & n
+        x = _doubled(x, m)
         yield x
 
 
 @lru_cache(maxsize=None)
 def leaders_of_z_n(m):
     """The coset leaders of Z_n, n = 2^m - 1, ascending, as a read-only
-    int32 array: the residues equal to the minimum of their m rotations.
-    Kept once per m for `DefiningSet.coset_leaders` and the minimal
-    polynomial table."""
-    residues = np.arange((1 << m) - 1, dtype=np.int32)
-    leaders = residues[reduce(np.minimum, rotations(residues, m)) == residues]
+    int32 array: the residues at most each of their m rotations. After
+    each rotation the residues that exceed it are dropped, so later
+    rotations run over fewer of them. Kept once per m for
+    `DefiningSet.coset_leaders` and the minimal polynomial table."""
+    leaders = rotated = np.arange((1 << m) - 1, dtype=np.int32)
+    for _ in range(m - 1):
+        rotated = _doubled(rotated, m)
+        kept = leaders <= rotated
+        leaders, rotated = leaders[kept], rotated[kept]
     leaders.flags.writeable = False
     return leaders
 

@@ -4,23 +4,23 @@ Exact distances and weight distributions come from a Walsh-Hadamard
 transform of the generator columns over the whole message space (O(k 2^k)
 additions), budgeted at k <= 24. Above the budget, a BCH certificate
 supplies the lower bound and a seeded information-set search (Lee-Brickell,
-messages of weight <= 3, bit-packed numpy rows) supplies the upper bound.
+messages of weight <= 3) supplies the upper bound: batches of trials are
+row-reduced together on bit-packed generator columns, and each trial scans
+only the redundancy part of its reduced rows.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 
-from ._bits import to_bool
+from ._bits import from_bool, to_bool
 from ._numpy import np
 from .bounds import best_certificate
-from .code import ExtendedCode, row_reduce
+from .code import ExtendedCode
 
 ENUM_BUDGET_K = 24
 LOW_BITS = 12  # message bits per transform row
 BLOCK_BITS = 16  # at most 2^16 messages per block
-PAIR_BLOCK_WORDS = 1 << 13  # uint64 words (64 KB) per block of row pairs in the search
-ISD_MEMORY_BUDGET = 1 << 30  # bytes: generator rows plus their k x n bool matrix
+PAIR_BLOCK_WORDS = 1 << 13  # uint64 words (64 KB) per block of row pairs, and per batch of trials, in the search
+ISD_MEMORY_BUDGET = 1 << 30  # bytes: packed generator rows and columns, a batch of permuted columns, one trial's rows
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,9 @@ def _weight_blocks(c):
     Messages m = (m_h << a) | l and columns split into a = min(k, LOW_BITS)
     low bits and k - a high bits. Row m_h of a block gets V[l'] = sum over the
     columns with low part l' of (-1)^popcount(m_h & high part), and the
-    transform of V gives the column sum for every l.
+    transform of V gives the column sum for every l. The transform runs in
+    int16 when 2n < 2^15: its values lie in [-n, n], a butterfly doubles one
+    of them, and the weights come from n - v <= 2n.
     """
     n, k = c.n, c.k
     if k < 1:
@@ -120,10 +122,11 @@ def _weight_blocks(c):
     # a power of two of rows, so at most 2^BLOCK_BITS signs unless one row has more
     rows = 1 << max(0, min(k - a, BLOCK_BITS - a, ((1 << BLOCK_BITS) // n).bit_length() - 1))
     index = ((np.arange(rows)[:, None] << a) | lo).ravel()
+    dtype = np.int16 if 2 * n < 1 << 15 else np.int32
     for first in range(0, 1 << (k - a), rows):
         m_h = np.arange(first, first + rows)[:, None]
-        v = np.zeros(rows << a, dtype=np.int32)
-        np.add.at(v, index, 1 - 2 * (np.bitwise_count(m_h & hi) & 1).astype(np.int32).ravel())
+        v = np.zeros(rows << a, dtype=dtype)
+        np.add.at(v, index, 1 - 2 * (np.bitwise_count(m_h & hi) & 1).astype(dtype).ravel())
         v = _wht(v.reshape(rows, 1 << (a - a // 2), 1 << (a // 2)))
         yield first << a, (n - v.reshape(-1)) >> 1
 
@@ -157,21 +160,74 @@ def weight_distribution(c):
     return WeightDistribution(n=c.n, k=c.k, counts=tuple(int(x) for x in counts))
 
 
-def _permuted_rows(mat, perm):
-    """The rows of mat[:, perm] as ints, permuting about 1 MB of mat at a time."""
-    step = max(1, (1 << 20) // mat.shape[1])
-    return [int.from_bytes(row.tobytes(), "little")
-            for first in range(0, len(mat), step)
-            for row in np.packbits(mat[first:first + step, perm], axis=1, bitorder="little")]
+def _transpose_bits(a):
+    """The bit transpose of L packed vectors of 64W bits: a is (W, L), word
+    w of vector i at a[w, i], and the result is the (ceil(L/64), 64W) array
+    whose column p packs, in the same word-major way, bit p of vectors
+    0..L-1, vector 0 in bit 0. One word row at a time, so at most 64L bools
+    are held."""
+    words, length = a.shape
+    out = np.zeros((-(-length // 64) * 8, 64 * words), dtype=np.uint8)
+    for w in range(words):
+        bits = np.unpackbits(np.ascontiguousarray(a[w]).view(np.uint8).reshape(length, 8), axis=1, bitorder="little")
+        out[:(length + 7) // 8, 64 * w:64 * (w + 1)] = np.packbits(bits, axis=0, bitorder="little")
+    return np.ascontiguousarray(out.reshape(-1, 8, 64 * words).transpose(0, 2, 1)).view("<u8")[..., 0]
 
 
-def _unpermute(word, perm):
-    out = 0
-    while word:
-        low = word & -word
-        out |= 1 << int(perm[low.bit_length() - 1])
-        word ^= low
-    return out
+def _generator_columns(c):
+    """The generator matrix as packed columns: a (ceil(k/64), n) uint64
+    array whose column j packs coordinate j of the k generator rows."""
+    words = -(-c.n // 64)
+    rows = np.frombuffer(b"".join(c.generator_row(i).to_bytes(8 * words, "little") for i in range(c.k)), dtype="<u8")
+    return np.ascontiguousarray(_transpose_bits(rows.reshape(c.k, words).T)[:, :c.n])
+
+
+def _reduced_trials(cols, k, effort, rng, batch):
+    """Yield (perm, pivots, rest, parts) for `effort` trials. perm is drawn by
+    rng.permutation(n), one trial after another. The other three give the
+    reduced row echelon form of the generator with its columns in perm
+    order, as the Python-int `row_reduce` of the test oracles gives it:
+    pivots at the highest positions first, rows in pivot order. pivots are
+    the k pivot positions, descending; rest the other n - k positions,
+    ascending; and parts the rows' bits at rest as a
+    (ceil((n - k)/64), k) uint64 array, row t in column t.
+
+    `batch` trials are eliminated together in column form, one position j
+    from n - 1 down: if column j has a bit in a row r not yet pivoted (the
+    lowest such r), every column left of j with bit r set becomes
+    c ^ col_j ^ e_r. Columns right of j are final by then. The rows keep
+    the generator's labels; label[j] is the row pivoted at j, so reading it
+    down the pivots puts the rows in pivot order.
+    """
+    words, n = cols.shape
+    for first in range(0, effort, batch):
+        perms = [rng.permutation(n) for _ in range(min(batch, effort - first))]
+        x = cols[:, np.stack(perms)]  # (words, trial, position)
+        t = np.arange(len(perms))
+        used = np.zeros((words, len(perms)), dtype=cols.dtype)
+        label = np.full((n, len(perms)), -1)  # the row pivoted at each position, -1 for none
+        found = np.zeros(len(perms), dtype=np.intp)
+        for j in range(n - 1, -1, -1):
+            if found.min() == k:
+                break
+            col = x[:, :, j]
+            free = col & ~used
+            has = free != 0
+            w = has.argmax(axis=0)
+            has = has[w, t]
+            low = free[w, t]
+            low &= ~low + 1  # the lowest free bit, 0 when there is none
+            r = np.bitwise_count(low - 1) & 63
+            delta = col * has
+            delta[w, t] ^= low
+            x[:, :, :j] ^= ((x[w, t, :j] >> r[:, None]) & 1) * delta[:, :, None]
+            used[w, t] |= low
+            label[j] = np.where(has, 64 * w + r, -1)
+            found += has
+        for i, perm in enumerate(perms):
+            pivots = n - 1 - np.flatnonzero(label[::-1, i] >= 0)
+            rest = np.flatnonzero(label[:, i] < 0)
+            yield perm, pivots, rest, _transpose_bits(x[:, i, rest])[:, label[pivots, i]]
 
 
 def bounded_min_distance(c, effort, seed=0, v_candidates=None):
@@ -179,15 +235,22 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
 
     Each of the `effort` trials permutes the columns, row-reduces to a
     systematic form, and scans all codewords built from messages of weight
-    at most 3. Deterministic for a fixed seed; effort 0 reports the first
-    generator row itself as the upper witness and reads no other row.
-    Raises ValueError for a negative effort, and before allocating when the
-    k x n search matrix and its rows would exceed ISD_MEMORY_BUDGET bytes.
+    at most 3. The trials are row-reduced in batches of about
+    PAIR_BLOCK_WORDS words and scanned in order; the search stops once the
+    best word reaches the lower bound. Deterministic for a fixed seed;
+    effort 0 reports the first generator row itself as the upper witness,
+    reads no other row and builds no random generator. Raises ValueError
+    for a negative effort, and before allocating when the packed generator
+    rows and columns, one batch of permuted columns and one trial's reduced
+    rows would exceed ISD_MEMORY_BUDGET bytes.
     """
     if effort < 0:
         raise ValueError(f"effort must be a non-negative integer, got {effort}")
     n, k = c.n, c.k
-    need = k * ((n + 7) // 8) + k * n
+    words = -(-k // 64)
+    batch = max(1, PAIR_BLOCK_WORDS // max(1, words * n))
+    # 8-byte words: the generator rows, their columns and a batch of permuted copies, one trial's reduced rows
+    need = 8 * (k * -(-n // 64) + (1 + batch) * words * n + -(-(n - k) // 64) * k)
     if effort and need > ISD_MEMORY_BUDGET:
         raise ValueError(f"information-set search on a [{n},{k}] code needs about {need >> 20} MiB, "
                          f"over the {ISD_MEMORY_BUDGET >> 20} MiB budget; effort 0 needs only one row")
@@ -199,20 +262,20 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
 
     best_word = c.generator_row(0)
     best_w = best_word.bit_count()
-    if effort:
-        mat = np.empty((k, n), dtype=bool)
-        for i in range(k):
-            mat[i] = to_bool(c.generator_row(i), n)
-    rng = np.random.default_rng(seed)
-    for _ in range(effort):
-        if best_w <= lower:
-            break
-        perm = rng.permutation(n)
-        reduced, _ = row_reduce(_permuted_rows(mat, perm))
-        found = _light_messages_best(reduced)
-        if found is not None and found.bit_count() < best_w:
-            best_word = _unpermute(found, perm)
-            best_w = best_word.bit_count()
+    if effort and best_w > lower:
+        trials = _reduced_trials(_generator_columns(c), k, effort, np.random.default_rng(seed), batch)
+        for perm, pivots, rest, parts in trials:
+            chosen = list(_light_messages_best(parts))
+            # the word's support: the chosen rows' pivots and the positions where their parts xor to 1
+            hot = np.unpackbits(np.bitwise_xor.reduce(parts[:, chosen], axis=1).view(np.uint8),
+                                count=len(rest), bitorder="little")
+            support = perm[np.concatenate([pivots[chosen], rest[hot.astype(bool)]])]
+            if len(support) < best_w:
+                word = np.zeros(n, dtype=bool)
+                word[support] = True
+                best_word, best_w = from_bool(word), len(support)
+                if best_w <= lower:
+                    break
     if not c.contains(best_word):
         raise AssertionError("information-set witness failed codeword verification")
     if best_w < lower:
@@ -223,24 +286,24 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
     )
 
 
-def _light_messages_best(reduced):
-    """Lightest combination of at most 3 reduced rows: the first lightest
-    word in the order rows, pairs, triples, each in combinations order.
+def _light_messages_best(rows):
+    """Lightest combination of at most 3 reduced rows, as a tuple of row
+    indices: the first lightest in the order rows, pairs, triples, each in
+    combinations order.
 
-    Rows are packed word-major into a (W, k) uint64 array. A block is a
-    range of pair positions in combinations order, at most PAIR_BLOCK_WORDS
-    words (or one pair); each pair (j, l) is read off its position and the
-    block is one gather-xor of rows j and l. For each i, the triples
-    (i, j, l) with j > i are a suffix of the block and take one xor against
-    row i. The best candidate is the minimum (weight, stage, combination),
-    stage 1/2/3 for rows/pairs/triples.
+    Each row is given by its bits off the pivots, packed word-major into a
+    (W, k) uint64 array, row i in column i. Every reduced row has one pivot
+    bit of its own, so a combination of p rows weighs p plus the weight of
+    the xor of their columns.
+
+    A block is a range of pair positions in combinations order, at most
+    PAIR_BLOCK_WORDS words (or one pair); each pair (j, l) is read off its
+    position and the block is one gather-xor of rows j and l. For each i,
+    the triples (i, j, l) with j > i are a suffix of the block and take one
+    xor against row i. The best candidate is the minimum (weight, stage,
+    combination), stage 1/2/3 for rows/pairs/triples.
     """
-    k = len(reduced)
-    if not k:
-        return None
-    words = max(1, -(-max(row.bit_length() for row in reduced) // 64))
-    rows = np.frombuffer(b"".join(row.to_bytes(8 * words, "little") for row in reduced), dtype="<u8")
-    rows = np.ascontiguousarray(rows.reshape(k, words).T)
+    words, k = rows.shape
     size = max(1, PAIR_BLOCK_WORDS // words)
     pairs, triples = np.empty((words, size), dtype=rows.dtype), np.empty((words, size), dtype=rows.dtype)
     counts = np.empty((words, max(size, k)), dtype=np.uint8)
@@ -255,7 +318,7 @@ def _light_messages_best(reduced):
         return int(weights[p]), p
 
     w, i = lightest(rows)
-    best = (w, 1, (i,))
+    best = (w + 1, 1, (i,))
     run_start = np.cumsum([0, *range(k - 1, 0, -1)])  # position of pair (j, j + 1)
     total = int(run_start[-1])
     for first in range(0, total, size):
@@ -266,11 +329,11 @@ def _light_messages_best(reduced):
         np.take(rows, j, axis=1, out=block)
         np.bitwise_xor(block, np.take(rows, l, axis=1, out=triples[:, :len(q)]), out=block)
         w, p = lightest(block)
-        best = min(best, (w, 2, (int(j[p]), int(l[p]))))
+        best = min(best, (w + 2, 2, (int(j[p]), int(l[p]))))
         for i, s in enumerate(np.searchsorted(j, np.arange(j[-1]), "right").tolist()):  # the pairs with j > i
             out = triples[:, s:len(q)]
             np.bitwise_xor(block[:, s:], rows[:, i:i + 1], out=out)
             w, p = lightest(out)
-            if w <= best[0]:
-                best = min(best, (w, 3, (i, int(j[s + p]), int(l[s + p]))))
-    return reduce(xor, (reduced[i] for i in best[2]))
+            if w + 3 <= best[0]:
+                best = min(best, (w + 3, 3, (i, int(j[s + p]), int(l[s + p]))))
+    return best[2]

@@ -5,10 +5,32 @@ import math
 import numpy as np
 
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
-from duadic.code import row_reduce
 from duadic.cyclotomic import DefiningSet, complement_spec, coset, defining_set, weight_classes
 from duadic.gf2poly import generator_poly, mod
 from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
+
+
+def row_reduce(rows):
+    """Reduced row echelon form over GF(2) with leftmost (highest-bit)
+    pivots, on Python-int rows: the reference the information-set search's
+    batched elimination is checked against.
+
+    Returns (reduced nonzero rows, pivot bit positions), deterministic.
+    """
+    rows = list(rows)
+    pivots = []
+    reduced = []
+    while rows:
+        piv_row = max(rows)  # the numerically largest row has the highest leading bit
+        if piv_row == 0:
+            break
+        rows.remove(piv_row)
+        p = piv_row.bit_length() - 1
+        rows = [row ^ piv_row if (row >> p) & 1 else row for row in rows]
+        reduced = [row ^ piv_row if (row >> p) & 1 else row for row in reduced]
+        reduced.append(piv_row)
+        pivots.append(p)
+    return reduced, pivots
 
 
 def rank(rows):

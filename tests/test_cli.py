@@ -360,7 +360,7 @@ def _rows_must_not_be_read(self, *args):
 
 
 def test_mindist_search_over_the_memory_budget_is_refused(capsys, monkeypatch):
-    # [131071, 65536]: the search's rows and bool matrix would take about 9 GiB
+    # [131071, 65536]: the search's packed rows, columns and reduced rows would take about 3.5 GiB
     monkeypatch.setattr(CyclicCode, "generator_row", _rows_must_not_be_read)
     monkeypatch.setattr(CyclicCode, "generator_rows", _rows_must_not_be_read)
     code, out, err = run_cli(capsys, "mindist", "-r", "2", "-m", "17", "-S", "1", "--effort", "1")
@@ -541,3 +541,24 @@ def test_catalog_and_verify_lemmas_never_load_numpy(capsys):
     # numpy loads on first use in the same process, and construct's output is unchanged
     code, out, _ = run_cli(capsys, "construct", "-r", "8", "-m", "9", "-S", "0,2,3,4")
     assert found["construct"] == [code, out]
+
+
+_MINDIST_RANDOM_MODULE = """
+import contextlib, io, json, sys
+from duadic.cli import main
+
+loaded = []
+for effort in ("0", "1"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["mindist", "-r", "2", "-m", "9", "-S", "1", "--effort", effort])
+    loaded.append([code, "numpy" in sys.modules, "numpy.random" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_mindist_effort_zero_never_imports_numpy_random():
+    # the search's random generator is built only for a trial; effort 0 runs none
+    src = os.path.dirname(os.path.dirname(duadic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _MINDIST_RANDOM_MODULE], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [[0, True, False], [0, True, True]]

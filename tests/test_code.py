@@ -15,7 +15,6 @@ from duadic.code import (
     from_defining_set,
     is_doubly_even,
     is_self_dual,
-    row_reduce,
 )
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.gf2m import field
@@ -30,6 +29,7 @@ from _oracles import (
     matrix_product_is_zero,
     members,
     rank,
+    row_reduce,
 )
 
 

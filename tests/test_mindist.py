@@ -1,6 +1,8 @@
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import xor
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duadic import mindist
-from duadic.code import dual, extend, from_defining_set, row_reduce
+from duadic._bits import from_bool, to_bool
+from duadic.code import dual, extend, from_defining_set
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.mindist import (
     CertifiedBound,
@@ -19,7 +22,7 @@ from duadic.mindist import (
 )
 from duadic.pairs import complement_spec, enumerate_catalog
 
-from _oracles import rank
+from _oracles import rank, row_reduce
 
 
 def _code(r, m, S, unchecked=False):
@@ -134,6 +137,21 @@ def test_k23_distances(code, d, min_odd, witness_low):
     assert min(w for w in range(1, c.n + 1) if wd.counts[w]) == d
 
 
+@pytest.mark.parametrize("extended, dtype, d", [(False, np.int16, 8191), (True, np.int32, 8192)], ids=["n16383", "n16384"])
+def test_transform_dtype_boundary(extended, dtype, d):
+    # S = Z_40 \ {1} at m = 14 leaves only the weight-1 class W_1 and 0 out of T: k = 15. The transform
+    # runs in int16 while 2n < 2^15, so n = 16383 is the last length in int16 and n = 16384 the first in int32.
+    c = _code(40, 14, tuple(x for x in range(40) if x != 1), unchecked=True)
+    c = extend(c) if extended else c
+    assert c.k == 15
+    assert {weights.dtype for _, weights in mindist._weight_blocks(c)} == {np.dtype(dtype)}
+    best_w, best_word, best_odd, counts = _gray_scan(tuple(c.generator_rows()), c.n)
+    found = exact_min_distance(c)
+    assert (found.lower, found.witness, found.min_odd_weight) == (best_w, best_word, best_odd)
+    assert best_w == d
+    assert list(weight_distribution(c).counts) == counts
+
+
 @st.composite
 def _small_k_specs(draw, max_k, max_m=13):
     """Unchecked weight-class specs with m <= max_m whose code has k <= max_k:
@@ -193,28 +211,47 @@ def _light_messages_reference(reduced):
     return best
 
 
+def _packed(rows, bits):
+    """Rows of at most `bits` bits as the search's (W, k) uint64 array, row i in column i."""
+    words = max(1, -(-bits // 64))
+    packed = np.frombuffer(b"".join(row.to_bytes(8 * words, "little") for row in rows), dtype="<u8")
+    return np.ascontiguousarray(packed.reshape(len(rows), words).T)
+
+
+def _scan_reduced(reduced):
+    """The library scan on rows in reduced echelon form, given their bits off
+    the pivots (each row's leading bit); the xor of the chosen rows."""
+    pivots = {row.bit_length() - 1 for row in reduced}
+    rest = [j for j in range(max(pivots)) if j not in pivots]
+    parts = [sum(((row >> j) & 1) << s for s, j in enumerate(rest)) for row in reduced]
+    return reduce(xor, (reduced[i] for i in mindist._light_messages_best(_packed(parts, len(rest)))))
+
+
 @st.composite
-def _row_lists(draw):
-    """At most 48 rows of n <= 200 bits. Planted rows, pairs and triples xor
-    to distinct words of one weight <= 3, so combinations of every stage tie
-    for the lightest; zero rows and repeated rows are mixed in."""
-    n = draw(st.integers(1, 200))
-    word = st.integers(0, (1 << n) - 1)
-    weight = draw(st.integers(1, min(3, n)))
-    light = st.sets(st.integers(0, n - 1), min_size=weight, max_size=weight).map(lambda bits: sum(1 << b for b in bits))
-    rows = draw(st.lists(word, max_size=30))
-    for size in draw(st.lists(st.integers(1, 3), max_size=5)):
-        x, y, e = draw(word), draw(word), draw(light)
-        rows += [[e], [x, x ^ e], [x, y, x ^ y ^ e]][size - 1]
-    rows += draw(st.lists(st.one_of(st.just(0), st.sampled_from(rows or [0])), max_size=3))
-    return draw(st.permutations(rows))
+def _systematic_rows(draw):
+    """At most 32 rows [e_i | R_i]: row i has its own pivot bit n_r + i above
+    a part R_i of n_r <= 150 bits. Planted combinations of p = 1, 2 or 3
+    rows xor to a part of weight total - p, so light combinations of
+    different stages tie on full weight (p pivot bits plus the part); zero
+    and repeated parts come from planted weights of 0."""
+    k = draw(st.integers(1, 32))
+    n_r = draw(st.integers(1, 150))
+    parts = draw(st.lists(st.integers(0, (1 << n_r) - 1), min_size=k, max_size=k))
+    total = draw(st.integers(1, 4))
+    for combo in draw(st.lists(st.sets(st.integers(0, k - 1), min_size=1, max_size=3), max_size=4)):
+        *others, last = sorted(combo)
+        weight = min(max(total - len(combo), 0), n_r)
+        light = draw(st.sets(st.integers(0, n_r - 1), min_size=weight, max_size=weight))
+        parts[last] = reduce(xor, (parts[i] for i in others), sum(1 << b for b in light))
+    return [part | 1 << (n_r + i) for i, part in enumerate(parts)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(_row_lists(), st.integers(1, 64) | st.just(1 << 13))
+@given(_systematic_rows(), st.integers(1, 64) | st.just(1 << 13))
 def test_light_messages_match_reference(rows, block_words):
+    # the scan reads only the parts below the pivots, and counts one pivot bit per row taken
     with mock.patch.object(mindist, "PAIR_BLOCK_WORDS", block_words):
-        assert mindist._light_messages_best(rows) == _light_messages_reference(rows)
+        assert _scan_reduced(rows) == _light_messages_reference(rows)
 
 
 @pytest.mark.parametrize("r, m, S", [(2, 3, (1,)), (2, 5, (1,)), (2, 7, (1,))])
@@ -225,21 +262,85 @@ def test_light_messages_match_reference_on_search_trials(r, m, S):
         perm = rng.permutation(c.n)
         permuted = [sum(((row >> int(p)) & 1) << j for j, p in enumerate(perm)) for row in c.generator_rows()]
         reduced, _ = row_reduce(permuted)
-        assert mindist._light_messages_best(reduced) == _light_messages_reference(reduced)
+        assert _scan_reduced(reduced) == _light_messages_reference(reduced)
+
+
+def _reference_search(c, seed, efforts, scan):
+    """The per-trial search on Python-int rows: per trial one permutation
+    from the seeded generator, `row_reduce` and `scan` over the reduced
+    rows, a strictly lighter word replacing the best, and a stop
+    once the best reaches the lower bound. Returns, for each effort, the
+    (upper, witness, trials scanned) the search of that effort ends with."""
+    lower = bounded_min_distance(c, effort=0).lower
+    best = c.generator_row(0)
+    states = [(best.bit_count(), best, 0)]
+    rng = np.random.default_rng(seed)
+    for trial in range(1, max(efforts) + 1):
+        if best.bit_count() <= lower:
+            break
+        perm = rng.permutation(c.n)
+        bits = np.stack([to_bool(row, c.n)[perm] for row in c.generator_rows()])
+        found = scan(row_reduce(from_bool(row) for row in bits)[0])
+        word = from_bool(to_bool(found, c.n)[np.argsort(perm)])
+        if word.bit_count() < best.bit_count():
+            best = word
+        states.append((best.bit_count(), best, trial))
+    return {effort: states[min(effort, len(states) - 1)] for effort in efforts}
+
+
+def _search_trials(c, effort, seed):
+    calls = []
+    scan = mindist._light_messages_best
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    with mock.patch.object(mindist, "_light_messages_best", counted):
+        found = bounded_min_distance(c, effort=effort, seed=seed)
+    return found.upper, found.witness, len(calls)
+
+
+# B is the number of trials row-reduced together at the default PAIR_BLOCK_WORDS; every case takes the
+# efforts B - 1, B and B + 1. At k >= 64 the library scan on the oracle's reduced rows, which the tests
+# above hold to the Python-loop reference, stands in for that loop: it takes about 15 ms a trial at k = 64.
+@pytest.mark.parametrize("r, m, S, extended, seeds, efforts, scan", [
+    (2, 3, (1,), False, (1, 2), (1, 1169, 1170, 1171), _light_messages_reference),
+    (2, 5, (1,), False, (1, 2, 3), (1, 263, 264, 265), _light_messages_reference),
+    (4, 5, (0, 3), False, (3,), (1, 263, 264, 265), _light_messages_reference),
+    (2, 7, (1,), False, (1, 2), (1, 63, 64, 65, 200), _scan_reduced),
+    (2, 7, (1,), True, (3,), (1, 63, 64, 65, 200), _scan_reduced),
+    (4, 6, (1, 2), True, (0, 1), (1, 2, 127, 128, 129), _light_messages_reference),
+    (8, 9, (0, 2, 3, 4), False, (1, 2), (1, 3, 4, 5), _scan_reduced),
+], ids=["m3", "m5", "m5-r4", "m7", "m7-extended", "m6-extended", "m9"])
+def test_batched_search_equals_the_per_trial_reference(r, m, S, extended, seeds, efforts, scan):
+    c = _code(r, m, S, unchecked=m % 2 == 0)
+    c = extend(c) if extended else c
+    batch = max(1, mindist.PAIR_BLOCK_WORDS // (c.n * -(-c.k // 64)))
+    assert {batch - 1, batch, batch + 1} <= set(efforts)
+    for seed in seeds:
+        expected = _reference_search(c, seed, efforts, scan)
+        for effort in efforts:
+            assert _search_trials(c, effort, seed) == expected[effort], (seed, effort)
 
 
 # (lower, upper, witness) as found by the Python-loop scan
 _M9_WITNESS = int(
     "4c000000040124024000801804110006810246820802022888810303281000120192504c42010800500008a200e840e109000a000010042"
     "000000110802722f0", 16)
+# recorded with the per-trial search, before trials were row-reduced in batches (here three batches of 4, 4 and 2)
+_M9_EFFORT10_WITNESS = int(
+    "10000008008804184400040000000800400108109043201140084022040846a8"
+    "0000888001041c20c00800010001046208000900000401190120108010082003", 16)
 
 
 @pytest.mark.parametrize("r, m, S, extended, effort, seed, lower, upper, witness", [
     (2, 7, (1,), False, 20, 7, 9, 19, 0x1C021004000810430600002015804000),
     (2, 7, (1,), False, 200, 1, 9, 19, 0x4000810430600002015804000380420),
     (8, 9, (0, 2, 3, 4), False, 1, 1, 19, 91, _M9_WITNESS),
+    (8, 9, (0, 2, 3, 4), False, 10, 1, 19, 71, _M9_EFFORT10_WITNESS),
     (2, 7, (1,), True, 5, 3, 10, 20, 0x8060000E22801188000502000050108),
-], ids=["m7-effort20-seed7", "m7-effort200-seed1", "m9-effort1-seed1", "m7-extended-effort5-seed3"])
+], ids=["m7-effort20-seed7", "m7-effort200-seed1", "m9-effort1-seed1", "m9-effort10-seed1", "m7-extended-effort5-seed3"])
 def test_bounded_search_golden(r, m, S, extended, effort, seed, lower, upper, witness):
     c = _code(r, m, S)
     if extended:
@@ -247,6 +348,16 @@ def test_bounded_search_golden(r, m, S, extended, effort, seed, lower, upper, wi
     found = bounded_min_distance(c, effort=effort, seed=seed)
     assert (found.lower, found.upper, found.witness) == (lower, upper, witness)
     assert c.contains(witness) and witness.bit_count() == upper
+
+
+def test_batched_search_stops_inside_a_batch():
+    # [64, 36], 128 trials per batch: seed 0 reaches the BCH bound 8 at the second trial and scans no third
+    c = extend(_code(4, 6, (1, 2), unchecked=True))
+    assert bounded_min_distance(c, effort=0).lower == 8
+    for effort in (2, 3, 128, 129):
+        upper, witness, trials = _search_trials(c, effort, 0)
+        assert (upper, trials) == (8, 2) and c.contains(witness)
+    assert _search_trials(c, 1, 0)[0] > 8
 
 
 def test_exact_examples():
@@ -358,12 +469,14 @@ def test_bounded_search_is_deterministic_and_sound():
 
 
 def test_bounded_search_memory_admission():
-    c = _code(2, 7, (1,))  # rows plus bool matrix: 64 * 16 + 64 * 127 = 9152 bytes
-    with mock.patch.object(mindist, "ISD_MEMORY_BUDGET", 9151):
+    # 8-byte words: rows 64 * 2, columns 127 and a batch of 64 permuted copies of them, redundancy rows 64
+    c = _code(2, 7, (1,))
+    assert 8 * (64 * 2 + (1 + 64) * 127 + 64) == 67576
+    with mock.patch.object(mindist, "ISD_MEMORY_BUDGET", 67575):
         with pytest.raises(ValueError, match="budget"):
             bounded_min_distance(c, effort=1)
         assert bounded_min_distance(c, effort=0).upper == c.g.bit_count()
-    with mock.patch.object(mindist, "ISD_MEMORY_BUDGET", 9152):
+    with mock.patch.object(mindist, "ISD_MEMORY_BUDGET", 67576):
         assert bounded_min_distance(c, effort=1).upper < c.g.bit_count()
 
 
