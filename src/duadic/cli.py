@@ -7,10 +7,12 @@ csv (a flattened projection of the json rows).
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from collections import namedtuple
+from itertools import chain, islice
 
 from . import gf2poly
 from .bounds import LEMMA_IDS, SIDES, HypothesisError, best_certificate, lemma_window, verify_lemma_membership
@@ -44,6 +46,10 @@ MINDIST_COLUMNS = [
     "r", "m", "S", "code", "n", "k", "method", "lower", "upper", "exact",
     "min_odd_weight", "seed", "effort", "witness_hex",
 ]
+
+# Encoder chunks joined into one write of JSON output: a bounded batch, not the
+# whole document's chunk list, and one write per batch, not per chunk.
+EMIT_BATCH_CHUNKS = 1 << 16
 
 _EPILOG = """\
 csv columns per command:
@@ -423,31 +429,47 @@ def _render_table(columns, rows):
     return "\n".join(lines)
 
 
-def _emit(args, payload, rows, columns, text):
-    """Write one command's result in the requested format; text is a
-    callable, so the text rendering runs only for --format text."""
-    fmt = args.format
-    if fmt == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        import io
+def _json_batches(payload):
+    """The indented JSON document of payload, as strings of at most
+    EMIT_BATCH_CHUNKS encoder chunks each. The pure-Python encoder that
+    indent needs yields about one chunk per key and value; `json.dumps`
+    would hold them all in one list before joining it."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    for first in chunks:  # no batch's chunk list outlives its join
+        yield "".join(chain((first,), islice(chunks, EMIT_BATCH_CHUNKS - 1)))
+    yield "\n"
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if row.get(c) is None else row.get(c) for c in columns])
-        body = buf.getvalue()
+
+def _csv_body(columns, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if row.get(c) is None else row.get(c) for c in columns])
+    return buf.getvalue()
+
+
+def _emit(args, payload, rows, columns, text):
+    """Write one command's result in the requested format: to stdout part by
+    part, or to --out once every part is made, so the file never holds a
+    partial document. text is a callable, so the text rendering runs only
+    for --format text."""
+    if args.format == "json":
+        parts = _json_batches(payload)
+    elif args.format == "csv":
+        parts = [_csv_body(columns, rows)]
     else:
-        body = text() + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(body)
+        parts = [text() + "\n"]
+    if not args.out:
+        for part in parts:
+            sys.stdout.write(part)
+        return
+    parts = list(parts)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
 
 
 def _add_common(sub):

@@ -176,7 +176,8 @@ def _minimal_poly_table(m):
     # m doublings run round a coset of size d exactly m / d times
     sizes = m // (orbits == orbits[:, :1]).sum(axis=1)
     table = np.empty(n, dtype=np.uint32)
-    for size in np.unique(sizes).tolist():
+    # the sizes that occur, each once; np.unique would import numpy.ma
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         exps = orbits[sizes == size, :size]
         polys = _expand_roots(fld, exps)
         shifts = np.arange(size + 1, dtype=np.uint32)

@@ -85,18 +85,23 @@ def _encode(rows, message):
 def _wht(v):
     """Walsh-Hadamard transform of v (rows, A, B) over its last two axes.
     Butterflies run along the middle axis, then again after a transposing
-    copy, so every pass streams contiguous runs of at least A or B entries."""
+    copy, so every pass streams contiguous runs of at least A or B entries.
+    Each butterfly writes (u + w, u - w) into a second buffer, and the two
+    buffers swap: two passes over the halves, where in place takes three."""
+    out = np.empty_like(v)
     for _ in range(2):
         rows, size, inner = v.shape
         h = 1
         while h < size:
-            pairs = v.reshape(rows, size // (2 * h), 2, h * inner)
-            u, w = pairs[:, :, 0], pairs[:, :, 1]
-            u += w
-            w *= -2
-            w += u  # (u + w, u - w)
+            shape = (rows, size // (2 * h), 2, h * inner)
+            pairs, sums = v.reshape(shape), out.reshape(shape)
+            np.add(pairs[:, :, 0], pairs[:, :, 1], out=sums[:, :, 0])
+            np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=sums[:, :, 1])
+            v, out = out, v
             h *= 2
-        v = np.ascontiguousarray(v.transpose(0, 2, 1))
+        transposed = out.reshape(rows, inner, size)
+        np.copyto(transposed, v.transpose(0, 2, 1))
+        v, out = transposed, v.reshape(rows, inner, size)
     return v
 
 
@@ -108,8 +113,8 @@ def _weight_blocks(c):
     low bits and k - a high bits. Row m_h of a block gets V[l'] = sum over the
     columns with low part l' of (-1)^popcount(m_h & high part), and the
     transform of V gives the column sum for every l. The transform runs in
-    int16 when 2n < 2^15: its values lie in [-n, n], a butterfly doubles one
-    of them, and the weights come from n - v <= 2n.
+    int16 when 2n < 2^15: its values lie in [-n, n], and the weights come
+    from n - v <= 2n.
     """
     n, k = c.n, c.k
     if k < 1:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -294,6 +295,9 @@ GOLDEN_DIGESTS = [
     ("mindist -r 8 -m 9 -S 0,2,3,4 --code extended", "json", "f9340c2e6a1fae606c1f58b6e8c6edcaf87886f6bbb5035c0e6ee17f72297c6c"),
     ("mindist -r 16 -m 6 -S 1,2,3 --unchecked --code dual", "json", "de972cee2e7eff1b8470c04dae74874d5f6fb55de43d020051cfa8fc564706af"),
     ("mindist -r 4 -m 10 -S 0,1 --unchecked --code dual", "json", "3c852611f7090eab44e7abe8c4a2c4fe37d35c528fb72197fa5aa14396036686"),
+    # about 245k encoder chunks, so the JSON document is written in several batches
+    ("verify-lemmas -r 16 -m 9,11,13", "json", "5b0ceb181d2924d2bd204eeacb695f949482cb8da76d42806db92869f5230aae"),
+    ("verify-lemmas -r 16 -m 9,11,13", "csv", "cc80eea0ac94afa4b34487410956c1c4473b2cd505392b599214568ef6c3b4d5"),
 ]
 
 
@@ -420,6 +424,48 @@ def test_out_file(tmp_path, capsys):
     assert payload["report"]["n"] == 7
 
 
+_MULTI_BATCH = ("verify-lemmas", "-r", "16", "-m", "9,11,13", "--format", "json")
+
+
+def test_multi_batch_json_out_file_equals_stdout(tmp_path, capsys):
+    target = tmp_path / "lemmas.json"
+    code, out, _ = run_cli(capsys, *_MULTI_BATCH)
+    assert code == 0 and len(out) > 1_000_000
+    code, empty, _ = run_cli(capsys, *_MULTI_BATCH, "--out", str(target))
+    assert code == 0 and empty == ""
+    assert target.read_bytes() == out.encode()
+
+
+class _DiscardingSink:
+    """A stdout stand-in that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = self.writes = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        self.writes += 1
+
+
+def test_json_output_memory_is_bounded_by_its_batches(monkeypatch):
+    args = cli.build_parser().parse_args(list(_MULTI_BATCH))
+    _, payload, rows, columns, text = args.handler(args)
+    chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))
+    assert chunks > 3 * cli.EMIT_BATCH_CHUNKS
+    sink = _DiscardingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._emit(args, payload, rows, columns, text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one batch of chunks at a time; holding every chunk and the joined document, as json.dumps does, is about 6.9x
+    assert peak < 3 * sink.chars
+    assert sink.writes == -(-chunks // cli.EMIT_BATCH_CHUNKS) + 1  # the batches, then the final newline
+
+
 def test_custom_v_candidates(capsys):
     code, payload, _ = run_json(capsys, "construct", "-r", "8", "-m", "9", "-S", "0,2,3,4",
                                 "--v", "31")
@@ -514,6 +560,13 @@ def test_huge_r_is_refused_before_any_class_is_built(capsys, argv):
     assert (code, out, err) == (2, "", "error: r must be at most 40, got 100000000\n")
 
 
+def _run_fresh(script):
+    """stdout of script run by a fresh interpreter that imports duadic from this source tree."""
+    src = os.path.dirname(os.path.dirname(duadic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+
+
 _CATALOG_AND_LEMMAS_WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 from duadic.cli import main
@@ -532,11 +585,7 @@ print(json.dumps({"numpy_modules": loaded, "construct": run("construct", "-r", "
 
 
 def test_catalog_and_verify_lemmas_never_load_numpy(capsys):
-    src = os.path.dirname(os.path.dirname(duadic.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _CATALOG_AND_LEMMAS_WITHOUT_NUMPY],
-                          env=env, capture_output=True, text=True, check=True)
-    found = json.loads(proc.stdout)
+    found = json.loads(_run_fresh(_CATALOG_AND_LEMMAS_WITHOUT_NUMPY))
     assert found["numpy_modules"] == []
     # numpy loads on first use in the same process, and construct's output is unchanged
     code, out, _ = run_cli(capsys, "construct", "-r", "8", "-m", "9", "-S", "0,2,3,4")
@@ -558,7 +607,23 @@ print(json.dumps(loaded))
 
 def test_mindist_effort_zero_never_imports_numpy_random():
     # the search's random generator is built only for a trial; effort 0 runs none
-    src = os.path.dirname(os.path.dirname(duadic.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _MINDIST_RANDOM_MODULE], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [[0, True, False], [0, True, True]]
+    assert json.loads(_run_fresh(_MINDIST_RANDOM_MODULE)) == [[0, True, False], [0, True, True]]
+
+
+_NUMPY_MA_MODULE = """
+import contextlib, io, json, sys
+from duadic.cli import main
+
+loaded = []
+for argv in (["construct", "-r", "8", "-m", "9", "-S", "0,2,3,4"], ["table", "-r", "8", "-S", "all", "-m", "3,5,7"],
+             ["mindist", "-r", "2", "-m", "7", "-S", "1", "--effort", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([code, "numpy" in sys.modules, "numpy.ma" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_commands_never_import_numpy_ma():
+    # np.unique imports numpy.ma on first use; the minimal polynomial table does without it
+    assert json.loads(_run_fresh(_NUMPY_MA_MODULE)) == [[0, True, False]] * 3
