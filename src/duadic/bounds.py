@@ -2,18 +2,21 @@
 run-membership lemmas L3-L6, and the square-root-style floors on the
 minimum odd weight of an odd-like duadic pair.
 
-BCH runs are found on the defining set's int bitmap by shifted ANDs, and
-the lemma windows point by point from w_2, so this module needs no numpy.
+BCH runs are found on the defining set's int bitmap by shifted ANDs. A
+lemma window {a*v mod n : 1 <= a <= B} depends only on (n, r, v, B), so it
+is scanned point by point from w_2 once, into the set of its residues
+w_2(j) mod r; each (spec, lemma, side) is then one subset test against the
+side's half-set. This module needs no numpy.
 
 This module is the one source of the lemma hypotheses (excluded t, r > 2
-for L3, the anchor residues of S and S'): `lemma_hypothesis_failure`
-states them, and the theorem classifier in `pairs` asks it.
+for L3, the anchor residues of S and S'): `lemma_hypothesis_gap` states them
+and names the first that fails, `check_lemma_hypotheses` words it in the
+error it raises, and the theorem classifier in `pairs` asks the gap alone.
 """
 
 import math
 from dataclasses import dataclass
-
-from .cyclotomic import complement_spec
+from functools import lru_cache
 
 LEMMA_IDS = ("L3", "L4", "L5", "L6")
 SIDES = ("S", "S'")
@@ -147,17 +150,19 @@ def best_certificate(T, v_candidates=None):
 _EXCLUDED_T = {"L3": 3, "L4": 1, "L5": 3, "L6": 1}
 
 
+@lru_cache(maxsize=256)
 def _anchor_sets(which, r, t):
+    """The residues that lemma `which` requires in S and in S', as frozensets."""
     lo = ((t - 1) // 2) % r
     near = ((t + r - 1) // 2) % r
     far = ((t + r + 1) // 2) % r
     third = (t - 1) % r if which in ("L3", "L5") else 1 % r
     if which in ("L3", "L4"):
-        s_req = {lo, near, third}
-        comp_req = {((t + 1) // 2) % r, far}
+        s_req = frozenset((lo, near, third))
+        comp_req = frozenset((((t + 1) // 2) % r, far))
     else:
-        s_req = {lo, far, third}
-        comp_req = {((t + 1) // 2) % r, near}
+        s_req = frozenset((lo, far, third))
+        comp_req = frozenset((((t + 1) // 2) % r, near))
     return s_req, comp_req
 
 
@@ -184,21 +189,20 @@ def lemma_window(which, m, r, side):
     return v, b
 
 
-def lemma_hypothesis_failure(which, r, t, S):
+def lemma_hypothesis_gap(which, r, t, S):
     """The first failed hypothesis of lemma `which` for the half-set S at
-    t = m mod r, as a message, or None when all hold."""
+    t = m mod r, or None when all hold: "t" (t is excluded), "r" (r <= 2
+    for L3), "S" (an anchor of S is missing from S) or "S'" (an anchor of
+    S' lies in S)."""
     if t == _EXCLUDED_T[which]:
-        return f"{which} requires t != {_EXCLUDED_T[which]}; spec has t = m mod r = {t}"
+        return "t"
     if which == "L3" and r <= 2:
-        return "L3 requires r > 2"
+        return "r"
     s_req, comp_req = _anchor_sets(which, r, t)
-    s_set = set(S)
-    missing = sorted(s_req - s_set)
-    if missing:
-        return f"{which} requires S to contain {sorted(s_req)}; missing {missing}"
-    missing = sorted(comp_req & s_set)
-    if missing:
-        return f"{which} requires S' to contain {sorted(comp_req)}; missing {missing}"
+    if not s_req.issubset(S):
+        return "S"
+    if not comp_req.isdisjoint(S):
+        return "S'"
     return None
 
 
@@ -208,25 +212,46 @@ def check_lemma_hypotheses(spec, which):
         raise ValueError(f"unknown lemma {which!r}")
     if spec.unchecked:
         raise HypothesisError("lemmas require a checked spec (odd m, |S| = r/2)")
-    failure = lemma_hypothesis_failure(which, spec.r, spec.t, spec.S)
-    if failure:
-        raise HypothesisError(failure)
+    r, t, s = spec.r, spec.t, spec.S
+    gap = lemma_hypothesis_gap(which, r, t, s)
+    if gap is None:
+        return
+    s_req, comp_req = _anchor_sets(which, r, t)
+    if gap == "t":
+        message = f"{which} requires t != {_EXCLUDED_T[which]}; spec has t = m mod r = {t}"
+    elif gap == "r":
+        message = "L3 requires r > 2"
+    elif gap == "S":
+        message = f"{which} requires S to contain {sorted(s_req)}; missing {sorted(s_req.difference(s))}"
+    else:
+        message = f"{which} requires S' to contain {sorted(comp_req)}; missing {sorted(comp_req.intersection(s))}"
+    raise HypothesisError(message)
+
+
+@lru_cache(maxsize=256)
+def _window_residues(n, r, v, b):
+    """Whether the window {a*v mod n : 1 <= a <= b} holds 0, and the
+    frozenset of w_2(j) mod r over its points."""
+    points = [a * v % n for a in range(1, b + 1)]
+    return 0 in points, frozenset(j.bit_count() % r for j in points)
 
 
 def verify_lemma_membership(spec, which, side="S"):
     """Directly test the lemma's conclusion {a*v : 1 <= a <= B} <= T(side).
 
     Hypotheses are checked first (HypothesisError otherwise); the return
-    value is the truth of the membership claim itself. Each point j = a*v
-    mod n is tested against the definition of T: j != 0 and w_2(j) mod r
-    lies in the side's half-set.
+    value is the truth of the membership claim itself. A point j = a*v mod
+    n lies in T exactly when j != 0 and w_2(j) mod r lies in the side's
+    half-set, so the window is in T when it misses 0 and its residues,
+    computed once per (n, r, v, B), lie in S (side "S") or all avoid S
+    (side "S'", whose half-set is Z_r \\ S).
     """
     check_lemma_hypotheses(spec, which)
     v, b = lemma_window(which, spec.m, spec.r, side)
-    n, r = spec.n, spec.r
-    half = set(spec.S if side == "S" else complement_spec(spec).S)
-    points = (a * v % n for a in range(1, b + 1))
-    return all(j != 0 and j.bit_count() % r in half for j in points)
+    holds_zero, residues = _window_residues(spec.n, spec.r, v, b)
+    if holds_zero:
+        return False
+    return residues.issubset(spec.S) if side == "S" else residues.isdisjoint(spec.S)
 
 
 def sqrt_bounds(n, mu_is_minus1=True):

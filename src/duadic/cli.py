@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import chain
 
 from . import gf2poly
 from .bounds import LEMMA_IDS, SIDES, HypothesisError, best_certificate, lemma_window, verify_lemma_membership
@@ -47,9 +47,9 @@ MINDIST_COLUMNS = [
     "min_odd_weight", "seed", "effort", "witness_hex",
 ]
 
-# Encoder chunks joined into one write of JSON output: a bounded batch, not the
-# whole document's chunk list, and one write per batch, not per chunk.
-EMIT_BATCH_CHUNKS = 1 << 16
+# Rows of a JSON row list handed to json's C encoder at once: one write of
+# JSON output holds one batch of rows, not the whole document.
+JSON_BATCH_ROWS = 1 << 10
 
 _EPILOG = """\
 csv columns per command:
@@ -354,21 +354,26 @@ def cmd_verify_lemmas(args):
             specs.extend(WeightClassSpec(r=args.r, m=m, S=s) for s in enumerate_catalog(args.r, m % args.r))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+    # a lemma's window (v, B) depends on its m and side alone, not on S
+    windows = {(lemma, m, side): lemma_window(lemma, m, args.r, side)
+               for lemma in LEMMA_IDS for m in m_list for side in SIDES}
     rows = []
     failures = 0
     for spec in specs:
+        s_text = _fmt_seq(spec.S)
         for lemma in LEMMA_IDS:
             for side in SIDES:
-                row = {"r": spec.r, "m": spec.m, "S": _fmt_seq(spec.S), "lemma": lemma,
+                row = {"r": spec.r, "m": spec.m, "S": s_text, "lemma": lemma,
                        "side": side, "v": None, "window": None, "detail": None}
                 try:
                     ok = verify_lemma_membership(spec, lemma, side)
-                    v, window = lemma_window(lemma, spec.m, spec.r, side)
+                except HypothesisError as exc:
+                    row.update({"status": "skip", "detail": str(exc)})
+                else:
+                    v, window = windows[lemma, spec.m, side]
                     row.update({"status": "pass" if ok else "fail", "v": v, "window": window})
                     if not ok:
                         failures += 1
-                except HypothesisError as exc:
-                    row.update({"status": "skip", "detail": str(exc)})
                 rows.append(row)
     payload = {
         "command": "verify-lemmas", "r": args.r, "m_list": m_list,
@@ -429,15 +434,84 @@ def _render_table(columns, rows):
     return "\n".join(lines)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _is_flat(values):
+    """True when no value is a container (checked once per value type)."""
+    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values)))
+
+
+def _is_row_list(obj):
+    """A non-empty list of non-empty dicts of scalars, such as a command's rows."""
+    return (bool(obj) and all(isinstance(row, dict) and row for row in obj)
+            and _is_flat(chain.from_iterable(map(dict.values, obj))))
+
+
+def _json_leaf(obj, pad):
+    """The indented text of a scalar, or of a container of scalars whose
+    opening bracket sits at indentation pad: json's C encoder, with the
+    item separator that indent=2 puts between members at pad + 2 spaces."""
+    inner = pad + "  "
+    text = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return text
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+
+
+def _json_rows(rows, pad, buf):
+    """Append the indented text of a row list to buf, a batch of
+    JSON_BATCH_ROWS rows per C-encoder call, and yield buf's text after each
+    batch. Within a batch the rows come out joined by "}," + newline + the
+    members' indentation + "{"; JSON text holds no raw newline inside a
+    string, and members are scalars, so that text occurs only between two
+    rows, where indent=2 closes one row and opens the next on lines of
+    their own."""
+    item, member = pad + "  ", pad + "    "
+    joint, spliced = "},\n" + member + "{", f"\n{item}}},\n{item}{{\n{member}"
+    sep = "[\n"
+    for i in range(0, len(rows), JSON_BATCH_ROWS):
+        text = json.dumps(rows[i:i + JSON_BATCH_ROWS], sort_keys=True, separators=(",\n" + member, ": "))
+        buf.append(f"{sep}{item}{{\n{member}{text[2:-2].replace(joint, spliced)}\n{item}}}")
+        yield "".join(buf)
+        buf.clear()
+        sep = ",\n"
+    buf.append(f"\n{pad}]")
+
+
+def _json_parts(obj, pad, buf):
+    """Append the text of `json.dumps(obj, sort_keys=True, indent=2)`, its
+    first line at indentation pad, to buf, yielding buf's text after each
+    batch of rows. Dict keys are str, as in every payload."""
+    if isinstance(obj, dict) and not _is_flat(obj.values()):
+        members, close = [(f"{json.dumps(key)}: ", obj[key]) for key in sorted(obj)], "}"
+    elif isinstance(obj, (list, tuple)) and not _is_flat(obj):
+        if _is_row_list(obj):
+            yield from _json_rows(obj, pad, buf)
+            return
+        members, close = [("", value) for value in obj], "]"
+    else:
+        buf.append(_json_leaf(obj, pad))
+        return
+    inner = pad + "  "
+    sep = "{\n" if close == "}" else "[\n"
+    for prefix, value in members:
+        buf.append(sep + inner + prefix)
+        yield from _json_parts(value, inner, buf)
+        sep = ",\n"
+    buf.append(f"\n{pad}{close}")
+
+
 def _json_batches(payload):
-    """The indented JSON document of payload, as strings of at most
-    EMIT_BATCH_CHUNKS encoder chunks each. The pure-Python encoder that
-    indent needs yields about one chunk per key and value; `json.dumps`
-    would hold them all in one list before joining it."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-    for first in chunks:  # no batch's chunk list outlives its join
-        yield "".join(chain((first,), islice(chunks, EMIT_BATCH_CHUNKS - 1)))
-    yield "\n"
+    """The text of `json.dumps(payload, sort_keys=True, indent=2)` + a
+    newline, in parts of at most one batch of rows each plus the text
+    before it. indent=2 would need json's pure-Python encoder, and
+    `json.dumps` would hold the whole document's chunk list; here json's C
+    encoder writes every container of scalars."""
+    buf = []
+    yield from _json_parts(payload, "", buf)
+    buf.append("\n")
+    yield "".join(buf)
 
 
 def _csv_body(columns, rows):

@@ -3,14 +3,14 @@ a spec to its certified bound family (T4, T7, T8, T9), and the catalog of
 every duadic S for a given (r, t).
 
 A family applies when its lemma's hypotheses hold for S or for S'; those
-hypotheses are stated once, in `bounds.lemma_hypothesis_failure`.
+hypotheses are stated once, in `bounds.lemma_hypothesis_gap`.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import product
 
-from .bounds import lemma_hypothesis_failure, lemma_window
-from .cyclotomic import check_r, complement_spec
+from .bounds import lemma_hypothesis_gap, lemma_window
+from .cyclotomic import check_r
 
 CATALOG_R_MAX = 16
 
@@ -84,34 +84,32 @@ def classify(spec):
     if spec.unchecked or not is_duadic(spec):
         return _NO_VERDICT
     r, m, t = spec.r, spec.m, spec.t
-    comp = complement_spec(spec).S
-    matches = []
+    s = frozenset(spec.S)
+    comp = frozenset(range(r)) - s
+    matches = []  # (theorem, lemma, v, run) per matching family
     for theorem, lemma in _THEOREM_LEMMA.items():
-        if lemma_hypothesis_failure(lemma, r, t, spec.S) is None:
+        if lemma_hypothesis_gap(lemma, r, t, s) is None:
             side = "S"
-        elif lemma_hypothesis_failure(lemma, r, t, comp) is None:
+        elif lemma_hypothesis_gap(lemma, r, t, comp) is None:
             side = "S'"
         else:
             continue
-        v, run = lemma_window(lemma, m, r, side)
-        residue_case = m % (2 * r) if lemma in ("L5", "L6") else None
-        # extended codes here are doubly-even, so the primal bound rounds up
-        # to a multiple of 4; this is half + 4 for every m >= 5.
-        matches.append(
-            TheoremVerdict(
-                theorem=theorem,
-                residue_case=residue_case,
-                d_lower=run + 1,
-                d_dual_lower=run + 2,
-                d_ext_lower=-(-(run + 1) // 4) * 4,
-                v=v,
-                run_length=run,
-                best_d_lower=None,
-            )
-        )
+        matches.append((theorem, lemma, *lemma_window(lemma, m, r, side)))
     if not matches:
         return _NO_VERDICT
-    return replace(matches[0], best_d_lower=max(found.d_lower for found in matches))
+    theorem, lemma, v, run = matches[0]
+    # extended codes here are doubly-even, so the primal bound rounds up
+    # to a multiple of 4; this is half + 4 for every m >= 5.
+    return TheoremVerdict(
+        theorem=theorem,
+        residue_case=m % (2 * r) if lemma in ("L5", "L6") else None,
+        d_lower=run + 1,
+        d_dual_lower=run + 2,
+        d_ext_lower=-(-(run + 1) // 4) * 4,
+        v=v,
+        run_length=run,
+        best_d_lower=max(found[3] for found in matches) + 1,
+    )
 
 
 def enumerate_catalog(r, t):

@@ -185,7 +185,7 @@ def max_ap_run(T, v):
 
 # An independent statement of the lemma hypotheses, and the theorem
 # classifier with its hypothesis tests written inline. The library states
-# the hypotheses once, in `bounds.lemma_hypothesis_failure`; the tests
+# the hypotheses once, in `bounds.lemma_hypothesis_gap`; the tests
 # check it and `pairs.classify` against these.
 _EXCLUDED_T = {"L3": 3, "L4": 1, "L5": 3, "L6": 1}
 

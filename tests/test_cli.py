@@ -9,6 +9,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duadic
 from duadic import cli, gf2poly
@@ -295,9 +297,12 @@ GOLDEN_DIGESTS = [
     ("mindist -r 8 -m 9 -S 0,2,3,4 --code extended", "json", "f9340c2e6a1fae606c1f58b6e8c6edcaf87886f6bbb5035c0e6ee17f72297c6c"),
     ("mindist -r 16 -m 6 -S 1,2,3 --unchecked --code dual", "json", "de972cee2e7eff1b8470c04dae74874d5f6fb55de43d020051cfa8fc564706af"),
     ("mindist -r 4 -m 10 -S 0,1 --unchecked --code dual", "json", "3c852611f7090eab44e7abe8c4a2c4fe37d35c528fb72197fa5aa14396036686"),
-    # about 245k encoder chunks, so the JSON document is written in several batches
+    # 6144 rows, so the JSON document is written in several row batches
     ("verify-lemmas -r 16 -m 9,11,13", "json", "5b0ceb181d2924d2bd204eeacb695f949482cb8da76d42806db92869f5230aae"),
     ("verify-lemmas -r 16 -m 9,11,13", "csv", "cc80eea0ac94afa4b34487410956c1c4473b2cd505392b599214568ef6c3b4d5"),
+    # the 256-row catalog that each survey op of the benchmark builds, every row classified
+    ("catalog -r 16 -t 7", "json", "d655a42fe6a18ef872b91e82b9ee77c2717986676f5c9fd7065623d9f706303f"),
+    ("catalog -r 16 -t 7", "csv", "31ff663f767f69d73e6e7e7e5e41775dea8afd132da29c53843db8da6926d195"),
 ]
 
 
@@ -437,21 +442,23 @@ def test_multi_batch_json_out_file_equals_stdout(tmp_path, capsys):
 
 
 class _DiscardingSink:
-    """A stdout stand-in that keeps only the number of characters written to it."""
+    """A stdout stand-in that keeps only the number and sizes of the writes made to it."""
 
     def __init__(self):
-        self.chars = self.writes = 0
+        self.chars = self.writes = self.largest = 0
 
     def write(self, text):
         self.chars += len(text)
         self.writes += 1
+        self.largest = max(self.largest, len(text))
 
 
-def test_json_output_memory_is_bounded_by_its_batches(monkeypatch):
-    args = cli.build_parser().parse_args(list(_MULTI_BATCH))
+def test_json_output_is_written_in_bounded_row_batches(monkeypatch):
+    args = cli.build_parser().parse_args(["verify-lemmas", "-r", "16", "-m", "9,11,13,15,17,19", "--format", "json"])
     _, payload, rows, columns, text = args.handler(args)
-    chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))
-    assert chunks > 3 * cli.EMIT_BATCH_CHUNKS
+    assert len(rows) == 12288 and len(rows) > 3 * cli.JSON_BATCH_ROWS
+    # one row as indent=2 lays it out inside the document, four spaces in, with its joint ",\n"
+    row_chars = max(len(json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")) + 6 for row in rows)
     sink = _DiscardingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -461,9 +468,48 @@ def test_json_output_memory_is_bounded_by_its_batches(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # one batch of chunks at a time; holding every chunk and the joined document, as json.dumps does, is about 6.9x
+    assert sink.writes == -(-len(rows) // cli.JSON_BATCH_ROWS) + 1  # the row batches, then the document's tail
+    assert sink.largest <= cli.JSON_BATCH_ROWS * row_chars + 256  # one batch and the document's header
+    # one batch at a time; holding every chunk and the joined document, as json.dumps(indent=2) does, is about 6.9x
     assert peak < 3 * sink.chars
-    assert sink.writes == -(-chunks // cli.EMIT_BATCH_CHUNKS) + 1  # the batches, then the final newline
+
+
+# strings that look like row joints, escaped newlines, U+2028 and non-ASCII text
+_JSON_CHARS = ["}", ",", "{", "[", "]", '"', "\\", "\n", " ", "\u2028", "\u00e9", "\u6f22", "\U0001f600"]
+_JSON_TEXT = st.one_of(
+    st.text(st.sampled_from(_JSON_CHARS), max_size=6),
+    st.sampled_from(["},", "},\n      {", "},\n    {", "{}", "\n  "]),
+    st.text(max_size=4),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_TEXT,
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 0.1]), st.floats(allow_nan=False),
+)
+# flat dicts with differing key sets (some empty), as in a command's rows
+_JSON_ROWS = st.lists(st.dictionaries(_JSON_TEXT, _JSON_SCALARS, max_size=4), max_size=7)
+_JSON_DOCUMENTS = st.recursive(
+    st.one_of(_JSON_SCALARS, _JSON_ROWS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(document=_JSON_DOCUMENTS, batch_rows=st.integers(min_value=1, max_value=3))
+def test_json_batches_equal_indented_dumps(document, batch_rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "JSON_BATCH_ROWS", batch_rows)
+        text = "".join(cli._json_batches(document))
+    assert text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_batches_of_a_row_list_span_several_batches(monkeypatch):
+    rows = [{"S": "0,1", "detail": "},\n    {", "v": i} for i in range(7)] + [{"other": None}]
+    monkeypatch.setattr(cli, "JSON_BATCH_ROWS", 3)
+    parts = list(cli._json_batches({"rows": rows, "r": 2}))
+    assert len(parts) == 4  # three row batches, then the document's tail
+    assert "".join(parts) == json.dumps({"rows": rows, "r": 2}, sort_keys=True, indent=2) + "\n"
 
 
 def test_custom_v_candidates(capsys):

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from duadic import mindist
 from duadic._bits import from_bool, to_bool
 from duadic.code import dual, extend, from_defining_set
-from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
+from duadic.cyclotomic import DefiningSet, WeightClassSpec, complement_spec, defining_set
 from duadic.mindist import (
     CertifiedBound,
     bounded_min_distance,
     exact_min_distance,
     weight_distribution,
 )
-from duadic.pairs import complement_spec, enumerate_catalog
+from duadic.pairs import enumerate_catalog
 
 from _oracles import rank, row_reduce
 
