@@ -443,9 +443,8 @@ def _is_flat(values):
 
 
 def _is_row_list(obj):
-    """A non-empty list of non-empty dicts of scalars, such as a command's rows."""
-    return (bool(obj) and all(isinstance(row, dict) and row for row in obj)
-            and _is_flat(chain.from_iterable(map(dict.values, obj))))
+    """True for a list of non-empty dicts of scalars, such as a command's rows."""
+    return all(isinstance(row, dict) and row for row in obj) and _is_flat(chain.from_iterable(map(dict.values, obj)))
 
 
 def _json_leaf(obj, pad):
@@ -484,22 +483,22 @@ def _json_parts(obj, pad, buf):
     first line at indentation pad, to buf, yielding buf's text after each
     batch of rows. Dict keys are str, as in every payload."""
     if isinstance(obj, dict) and not _is_flat(obj.values()):
-        members, close = [(f"{json.dumps(key)}: ", obj[key]) for key in sorted(obj)], "}"
+        members, brackets = [(f"{json.dumps(key)}: ", obj[key]) for key in sorted(obj)], "{}"
     elif isinstance(obj, (list, tuple)) and not _is_flat(obj):
         if _is_row_list(obj):
             yield from _json_rows(obj, pad, buf)
             return
-        members, close = [("", value) for value in obj], "]"
+        members, brackets = [("", value) for value in obj], "[]"
     else:
         buf.append(_json_leaf(obj, pad))
         return
     inner = pad + "  "
-    sep = "{\n" if close == "}" else "[\n"
+    sep = brackets[0] + "\n"
     for prefix, value in members:
         buf.append(sep + inner + prefix)
         yield from _json_parts(value, inner, buf)
         sep = ",\n"
-    buf.append(f"\n{pad}{close}")
+    buf.append(f"\n{pad}{brackets[1]}")
 
 
 def _json_batches(payload):
