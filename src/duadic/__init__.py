@@ -9,7 +9,6 @@ distances at enumeration scale.
 from .bounds import (
     BchCertificate,
     HypothesisError,
-    SqrtBoundReport,
     best_certificate,
     default_v_candidates,
     max_ap_run,
@@ -57,7 +56,6 @@ __all__ = [
     "ExtendedCode",
     "GF2m",
     "HypothesisError",
-    "SqrtBoundReport",
     "TheoremVerdict",
     "WeightClassSpec",
     "WeightDistribution",

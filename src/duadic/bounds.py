@@ -1,6 +1,6 @@
 """BCH-bound certification for defining sets, direct verification of the
-run-membership lemmas L3-L6, and the square-root-style floors on the
-minimum odd weight of an odd-like duadic pair.
+run-membership lemmas L3-L6, and the square-root floor on the minimum
+odd weight of an odd-like duadic pair.
 
 BCH runs are found on the defining set's int bitmap by shifted ANDs. A
 lemma window {a*v mod n : 1 <= a <= B} depends only on (n, r, v, B), so it
@@ -48,31 +48,6 @@ class BchCertificate:
             "run_length": self.run_length,
             "d_lower": self.d_lower,
             "gamma_exponent": self.gamma_exponent,
-        }
-
-
-@dataclass(frozen=True)
-class SqrtBoundReport:
-    """Floors on the minimum odd weight d0 of an odd-like duadic pair:
-    d0^2 >= n always, and d0^2 - d0 + 1 >= n when the splitting multiplier
-    is -1 (the latter scanned over odd integers, d0 being an odd weight)."""
-
-    n: int
-    d0_floor_sqrt: int
-    d0_mu_minus1: int
-    mu_is_minus1: bool
-
-    @property
-    def d0_lower(self):
-        return self.d0_mu_minus1 if self.mu_is_minus1 else self.d0_floor_sqrt
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "d0_floor_sqrt": self.d0_floor_sqrt,
-            "d0_mu_minus1": self.d0_mu_minus1,
-            "mu_is_minus1": self.mu_is_minus1,
-            "d0_lower": self.d0_lower,
         }
 
 
@@ -254,12 +229,13 @@ def verify_lemma_membership(spec, which, side="S"):
     return residues.issubset(spec.S) if side == "S" else residues.isdisjoint(spec.S)
 
 
-def sqrt_bounds(n, mu_is_minus1=True):
-    """Smallest admissible floors for the minimum odd weight at length n."""
+def sqrt_bounds(n):
+    """The least odd d0 with d0^2 - d0 + 1 >= n: the square-root floor on
+    the minimum odd weight of an odd-like duadic pair of length n whose
+    splitting multiplier is -1."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"length must be odd and >= 3, got {n}")
-    d_sqrt = math.isqrt(n - 1) + 1
-    d_mu = 1
-    while d_mu * d_mu - d_mu + 1 < n:
-        d_mu += 2
-    return SqrtBoundReport(n=n, d0_floor_sqrt=d_sqrt, d0_mu_minus1=d_mu, mu_is_minus1=mu_is_minus1)
+    d0 = 1
+    while d0 * d0 - d0 + 1 < n:
+        d0 += 2
+    return d0

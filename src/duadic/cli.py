@@ -20,7 +20,7 @@ from .code import dual, extend, from_class_polys, is_doubly_even, is_self_dual
 from .cyclotomic import WeightClassSpec, check_r, complement_spec
 from .gf2m import field
 from .mindist import ENUM_BUDGET_K, bounded_min_distance, exact_min_distance
-from .pairs import _THEOREM_LEMMA, R8_REFERENCE_SETS, classify, enumerate_catalog, is_duadic
+from .pairs import R8_REFERENCE_SETS, THEOREM_LEMMA, classify, enumerate_catalog, is_duadic
 
 CONSTRUCT_COLUMNS = [
     "r", "m", "S", "t", "unchecked", "n", "k", "duadic", "theorem", "residue_case",
@@ -61,7 +61,8 @@ csv columns per command:
 
 catalog offset columns report d >= 2^((m-1)/2) + offset for the two residue
 classes of m mod 2r (m = t and m = t + r); dual offsets are analogous and
-extended codes carry offset 4 whenever a theorem applies.
+extended codes carry offset 4 whenever a theorem applies. The offsets hold
+for m >= 5: at m = 3 the extended code is [8, 4, 4].
 """ % tuple(", ".join(c) for c in (CONSTRUCT_COLUMNS, CATALOG_COLUMNS, TABLE_COLUMNS, LEMMA_COLUMNS, MINDIST_COLUMNS))
 
 
@@ -240,13 +241,12 @@ def _catalog_rows(r, t):
     rows = []
     m_probe = t if t >= 3 else t + r  # smallest valid odd m with m = t mod r
     for s in enumerate_catalog(r, t):
-        spec = WeightClassSpec(r=r, m=m_probe, S=s)
-        verdict = classify(spec)
-        lemma = _THEOREM_LEMMA.get(verdict.theorem)
+        verdict = classify(WeightClassSpec(r=r, m=m_probe, S=s))
+        lemma = THEOREM_LEMMA.get(verdict.theorem)
         # the theorem's bound d >= run + 1 = 2^((m-1)/2) + offset, for m = t and m = t + r (mod 2r)
         offs = lemma and [lemma_window(lemma, m, r, "S")[1] + 1 - (1 << ((m - 1) // 2)) for m in (t, t + r)]
         rows.append({
-            "r": r, "t": t, "S": _fmt_seq(s), "S_complement": _fmt_seq(complement_spec(spec).S),
+            "r": r, "t": t, "S": _fmt_seq(s), "S_complement": _fmt_seq(c for c in range(r) if c not in s),
             "theorem": verdict.theorem,
             "d_offset_case_t": offs[0] if offs else None,
             "d_offset_case_t_plus_r": offs[1] if offs else None,

@@ -34,10 +34,6 @@ class CyclicCode:
         """Cyclic-shift generator matrix row x^i * g."""
         return self.g << i
 
-    def generator_rows(self):
-        """Cyclic-shift generator matrix rows x^i * g, 0 <= i < k."""
-        return [self.g << i for i in range(self.k)]
-
     def contains(self, word):
         """Membership: word(x) is a multiple of g(x)."""
         if word >> self.n:
@@ -66,10 +62,6 @@ class ExtendedCode:
 
     def generator_row(self, i):
         return self.base.generator_row(i) | self.parity_bit << self.base.n
-
-    def generator_rows(self):
-        p = self.parity_bit << self.base.n
-        return [row | p for row in self.base.generator_rows()]
 
     def contains(self, word):
         if word >> self.n:

@@ -11,7 +11,7 @@ only the redundancy part of its reduced rows.
 
 from dataclasses import dataclass
 
-from ._bits import from_bool, to_bool
+from ._bits import from_bool
 from ._numpy import np
 from .bounds import best_certificate
 from .code import ExtendedCode
@@ -27,14 +27,13 @@ ISD_MEMORY_BUDGET = 1 << 30  # bytes: packed generator rows and columns, a batch
 class CertifiedBound:
     """Minimum-distance interval [lower, upper] with its evidence.
 
-    witness is a verified codeword of weight upper; exact means the interval
-    collapsed. min_odd_weight is reported by full enumeration only (None when
-    the code has no odd-weight codeword).
+    witness is a verified codeword of weight upper; the bound is exact when
+    the interval has collapsed. min_odd_weight is reported by full
+    enumeration only (None when the code has no odd-weight codeword).
     """
 
     lower: int
     upper: int
-    exact: bool
     witness: int
     method: str
     min_odd_weight: int | None = None
@@ -46,6 +45,10 @@ class CertifiedBound:
             raise ValueError(f"invalid bound interval [{self.lower}, {self.upper}]")
         if self.witness.bit_count() != self.upper:
             raise ValueError("witness weight does not match the upper bound")
+
+    @property
+    def exact(self):
+        return self.lower == self.upper
 
     def to_json(self):
         return {
@@ -73,11 +76,11 @@ class WeightDistribution:
         return all(c == 0 for w, c in enumerate(self.counts) if w % 4)
 
 
-def _encode(rows, message):
+def _encode(c, message):
     word = 0
     while message:
         low = message & -message
-        word ^= rows[low.bit_length() - 1]
+        word ^= c.generator_row(low.bit_length() - 1)
         message ^= low
     return word
 
@@ -122,7 +125,7 @@ def _weight_blocks(c):
     if k > ENUM_BUDGET_K:
         raise ValueError(f"k={k} exceeds the 2^{ENUM_BUDGET_K} enumeration budget; use bounded_min_distance")
     a = min(k, LOW_BITS)
-    cols = sum(to_bool(row, n).astype(np.int64) << i for i, row in enumerate(c.generator_rows()))
+    cols = _generator_columns(c)[0].astype(np.int64)  # k <= 24: one word per column
     lo, hi = cols & ((1 << a) - 1), cols >> a
     # a power of two of rows, so at most 2^BLOCK_BITS signs unless one row has more
     rows = 1 << max(0, min(k - a, BLOCK_BITS - a, ((1 << BLOCK_BITS) // n).bit_length() - 1))
@@ -154,7 +157,7 @@ def exact_min_distance(c):
             best = min(best, (w, int(rank.min())))
     d, rank = best
     return CertifiedBound(
-        lower=d, upper=d, exact=True, witness=_encode(c.generator_rows(), rank ^ (rank >> 1)),
+        lower=d, upper=d, witness=_encode(c, rank ^ (rank >> 1)),
         method="enumeration", min_odd_weight=next((w for w in range(1, c.n + 1, 2) if counts[w]), None),
     )
 
@@ -286,8 +289,7 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
     if best_w < lower:
         raise AssertionError("found a codeword below the BCH lower bound")
     return CertifiedBound(
-        lower=lower, upper=best_w, exact=lower == best_w,
-        witness=best_word, method="bch+information-set", seed=seed, effort=effort,
+        lower=lower, upper=best_w, witness=best_word, method="bch+information-set", seed=seed, effort=effort,
     )
 
 

@@ -15,7 +15,7 @@ from .cyclotomic import check_r
 CATALOG_R_MAX = 16
 
 # Theorem id -> the lemma whose run window certifies its bound, in precedence order.
-_THEOREM_LEMMA = {"T4": "L3", "T7": "L4", "T8": "L5", "T9": "L6"}
+THEOREM_LEMMA = {"T4": "L3", "T7": "L4", "T8": "L5", "T9": "L6"}
 
 # Known duadic half-sets for r = 8, one representative per complement pair,
 # keyed by t = m mod 8. Used as a regression cross-check by the catalog
@@ -87,7 +87,7 @@ def classify(spec):
     s = frozenset(spec.S)
     comp = frozenset(range(r)) - s
     matches = []  # (theorem, lemma, v, run) per matching family
-    for theorem, lemma in _THEOREM_LEMMA.items():
+    for theorem, lemma in THEOREM_LEMMA.items():
         if lemma_hypothesis_gap(lemma, r, t, s) is None:
             side = "S"
         elif lemma_hypothesis_gap(lemma, r, t, comp) is None:

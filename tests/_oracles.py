@@ -7,7 +7,12 @@ import numpy as np
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
 from duadic.cyclotomic import DefiningSet, complement_spec, coset, defining_set, weight_classes
 from duadic.gf2poly import generator_poly, mod
-from duadic.pairs import _NO_VERDICT, _THEOREM_LEMMA, TheoremVerdict
+from duadic.pairs import _NO_VERDICT, THEOREM_LEMMA, TheoremVerdict
+
+
+def generator_rows(c):
+    """The k generator matrix rows of a code, as Python ints."""
+    return [c.generator_row(i) for i in range(c.k)]
 
 
 def row_reduce(rows):
@@ -232,7 +237,7 @@ def classify(spec):
     if spec.unchecked or 2 * len(s_set) != r or any((t - c) % r in s_set for c in s_set):
         return _NO_VERDICT
     matches = []
-    for theorem, lemma in _THEOREM_LEMMA.items():
+    for theorem, lemma in THEOREM_LEMMA.items():
         if t == _EXCLUDED_T[lemma]:
             continue
         if lemma == "L3" and r <= 2:

@@ -272,12 +272,11 @@ def test_coprime_differences():
 
 
 def test_sqrt_bounds_values():
-    rep = sqrt_bounds(7)
-    assert rep.d0_floor_sqrt == 3 and rep.d0_mu_minus1 == 3
-    rep = sqrt_bounds(31)
-    assert rep.d0_floor_sqrt == 6 and rep.d0_mu_minus1 == 7
-    assert rep.d0_lower == 7
-    assert sqrt_bounds(31, mu_is_minus1=False).d0_lower == 6
+    assert sqrt_bounds(7) == 3
+    assert sqrt_bounds(31) == 7  # 5^2 - 5 + 1 = 21 < 31 <= 43 = 7^2 - 7 + 1
+    for n in (3, 7, 31, 127, 511, 2047, (1 << 20) - 1):
+        d0 = sqrt_bounds(n)
+        assert d0 % 2 == 1 and d0 * d0 - d0 + 1 >= n and (d0 - 2) ** 2 - (d0 - 2) + 1 < n
     with pytest.raises(ValueError):
         sqrt_bounds(1)
     with pytest.raises(ValueError):
@@ -290,7 +289,7 @@ def test_min_odd_weight_meets_sqrt_equality_at_m3():
     found = exact_min_distance(c)
     assert found.min_odd_weight == 3
     assert 3 * 3 - 3 + 1 == 7
-    assert sqrt_bounds(7).d0_lower == found.min_odd_weight
+    assert sqrt_bounds(7) == found.min_odd_weight
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,6 +19,7 @@ from duadic.cli import _catalog_rows, main
 from duadic.code import CyclicCode, dual, extend, from_defining_set
 from duadic.cyclotomic import WeightClassSpec, defining_set
 from duadic.mindist import exact_min_distance
+from duadic.pairs import classify
 
 from _oracles import from_leaders
 
@@ -135,6 +136,31 @@ def test_catalog_offsets_match_the_theorem_table():
                         row["d_dual_offset_case_t_plus_r"], row["d_ext_offset"]) == expected, (r, t, row)
                 seen.add(row["theorem"])
     assert seen == set(reference)
+
+
+def test_catalog_offsets_agree_with_the_classifier_from_m5(capsys):
+    # each offset column is the classifier's bound minus 2^((m-1)/2), at every odd m in 5..19 of the row's class
+    for r in range(2, 17, 2):
+        for t in range(1, r, 2):
+            code, payload, _ = run_json(capsys, "catalog", "-r", str(r), "-t", str(t))
+            assert code == 0
+            ms = [m for m in range(5, 20, 2) if m % r == t]
+            assert ms, (r, t)
+            for m in ms:
+                case = "t" if m % (2 * r) == t else "t_plus_r"
+                half = 1 << ((m - 1) // 2)
+                for row in payload["rows"]:
+                    verdict = classify(WeightClassSpec(r=r, m=m, S=tuple(int(c) for c in row["S"].split(","))))
+                    offsets = (row[f"d_offset_case_{case}"], row[f"d_dual_offset_case_{case}"], row["d_ext_offset"])
+                    bounds = (verdict.d_lower, verdict.d_dual_lower, verdict.d_ext_lower)
+                    assert row["theorem"] == verdict.theorem, (r, t, m, row)
+                    assert offsets == tuple(d and d - half for d in bounds), (r, t, m, row)
+    # at m = 3 the extended offset fails: the row claims d_ext >= 2 + 4, the extension is [8, 4, 4]
+    assert classify(WeightClassSpec(r=2, m=3, S=(1,))).d_ext_lower == 4
+    assert _catalog_rows(2, 1)[1]["d_ext_offset"] == 4
+    code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "3", "-S", "1", "--code", "extended")
+    assert code == 0 and (payload["n"], payload["k"]) == (8, 4)
+    assert (payload["bound"]["lower"], payload["bound"]["upper"]) == (4, 4)
 
 
 def test_catalog_r2(capsys):
@@ -303,6 +329,11 @@ GOLDEN_DIGESTS = [
     # the 256-row catalog that each survey op of the benchmark builds, every row classified
     ("catalog -r 16 -t 7", "json", "d655a42fe6a18ef872b91e82b9ee77c2717986676f5c9fd7065623d9f706303f"),
     ("catalog -r 16 -t 7", "csv", "31ff663f767f69d73e6e7e7e5e41775dea8afd132da29c53843db8da6926d195"),
+    # the k = 23 transform of the benchmark's distance workload, recorded while it read n-bit generator rows
+    ("mindist -r 12 -m 11 -S 0,2,3,4,5,6,7,8,9,11 --unchecked", "json",
+     "bc54d162bc01800b9584ebdd67610b39ccb8047ee2ac347e41fee623f5a46e34"),
+    ("mindist -r 12 -m 11 -S 0,2,3,4,5,6,7,8,9,11 --unchecked --code extended", "json",
+     "307dee42db8c78b62b434c73c4be62d9e1cd639a062d732aadc43662f411ad0b"),
 ]
 
 
@@ -364,24 +395,33 @@ def test_mindist_bounded_above_budget(capsys):
     assert bound["seed"] == 11 and bound["effort"] == 5
 
 
-def _rows_must_not_be_read(self, *args):
-    raise AssertionError("generator rows were read")
+def _count_generator_rows(monkeypatch):
+    """Record the index of every generator row the code is asked for."""
+    read = []
+    generator_row = CyclicCode.generator_row
+
+    def counted(self, i):
+        read.append(i)
+        return generator_row(self, i)
+
+    monkeypatch.setattr(CyclicCode, "generator_row", counted)
+    return read
 
 
 def test_mindist_search_over_the_memory_budget_is_refused(capsys, monkeypatch):
     # [131071, 65536]: the search's packed rows, columns and reduced rows would take about 3.5 GiB
-    monkeypatch.setattr(CyclicCode, "generator_row", _rows_must_not_be_read)
-    monkeypatch.setattr(CyclicCode, "generator_rows", _rows_must_not_be_read)
+    read = _count_generator_rows(monkeypatch)
     code, out, err = run_cli(capsys, "mindist", "-r", "2", "-m", "17", "-S", "1", "--effort", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "budget" in err
+    assert read == []
 
 
 def test_mindist_effort_zero_reads_one_generator_row(capsys, monkeypatch):
     c = from_defining_set(defining_set(WeightClassSpec(r=2, m=17, S=(1,))))
-    monkeypatch.setattr(CyclicCode, "generator_rows", _rows_must_not_be_read)
+    read = _count_generator_rows(monkeypatch)
     code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "17", "-S", "1", "--effort", "0")
-    assert code == 0
+    assert code == 0 and read == [0]
     bound = payload["bound"]
     assert (bound["lower"], bound["upper"]) == (best_certificate(c.T).d_lower, c.g.bit_count())
     assert bound["witness_hex"] == f"{c.g:#x}"

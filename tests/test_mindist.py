@@ -22,7 +22,7 @@ from duadic.mindist import (
 )
 from duadic.pairs import enumerate_catalog
 
-from _oracles import rank, row_reduce
+from _oracles import generator_rows, rank, row_reduce
 
 
 def _code(r, m, S, unchecked=False):
@@ -58,8 +58,8 @@ class _Rows:
     def k(self):
         return len(self.rows)
 
-    def generator_rows(self):
-        return list(self.rows)
+    def generator_row(self, i):
+        return self.rows[i]
 
 
 @st.composite
@@ -85,7 +85,7 @@ def test_transform_matches_gray_scan(c, low_bits, block_bits):
 
 def test_transform_matches_gray_scan_at_default_constants():
     c = _code(2, 5, (1,))  # k = 16: 2^4 transform rows of 2^12 messages each
-    d, witness, min_odd, counts = _gray_scan(tuple(c.generator_rows()), c.n)
+    d, witness, min_odd, counts = _gray_scan(tuple(generator_rows(c)), c.n)
     found = exact_min_distance(c)
     assert (found.lower, found.witness, found.min_odd_weight) == (d, witness, min_odd)
     assert list(weight_distribution(c).counts) == counts
@@ -145,7 +145,7 @@ def test_transform_dtype_boundary(extended, dtype, d):
     c = extend(c) if extended else c
     assert c.k == 15
     assert {weights.dtype for _, weights in mindist._weight_blocks(c)} == {np.dtype(dtype)}
-    best_w, best_word, best_odd, counts = _gray_scan(tuple(c.generator_rows()), c.n)
+    best_w, best_word, best_odd, counts = _gray_scan(tuple(generator_rows(c)), c.n)
     found = exact_min_distance(c)
     assert (found.lower, found.witness, found.min_odd_weight) == (best_w, best_word, best_odd)
     assert best_w == d
@@ -260,7 +260,7 @@ def test_light_messages_match_reference_on_search_trials(r, m, S):
     rng = np.random.default_rng(5)
     for _ in range(3):
         perm = rng.permutation(c.n)
-        permuted = [sum(((row >> int(p)) & 1) << j for j, p in enumerate(perm)) for row in c.generator_rows()]
+        permuted = [sum(((row >> int(p)) & 1) << j for j, p in enumerate(perm)) for row in generator_rows(c)]
         reduced, _ = row_reduce(permuted)
         assert _scan_reduced(reduced) == _light_messages_reference(reduced)
 
@@ -279,7 +279,7 @@ def _reference_search(c, seed, efforts, scan):
         if best.bit_count() <= lower:
             break
         perm = rng.permutation(c.n)
-        bits = np.stack([to_bool(row, c.n)[perm] for row in c.generator_rows()])
+        bits = np.stack([to_bool(row, c.n)[perm] for row in generator_rows(c)])
         found = scan(row_reduce(from_bool(row) for row in bits)[0])
         word = from_bool(to_bool(found, c.n)[np.argsort(perm)])
         if word.bit_count() < best.bit_count():
@@ -508,6 +508,9 @@ def test_bounded_agrees_with_exact_at_small_k():
 
 def test_certified_bound_validation():
     with pytest.raises(ValueError):
-        CertifiedBound(lower=3, upper=2, exact=False, witness=0b11, method="x")
+        CertifiedBound(lower=3, upper=2, witness=0b11, method="x")
     with pytest.raises(ValueError):
-        CertifiedBound(lower=1, upper=2, exact=False, witness=0b111, method="x")
+        CertifiedBound(lower=1, upper=2, witness=0b111, method="x")
+    # exactness is read off the interval, never stored beside it
+    assert not CertifiedBound(lower=2, upper=3, witness=0b111, method="x").exact
+    assert CertifiedBound(lower=3, upper=3, witness=0b111, method="x").exact

@@ -1,7 +1,7 @@
 """The package's public surface: the README's Library block runs and states
 true values, every exported name and every function and method has a use
 in the package or in that block, and no module imports a name it never
-uses."""
+uses or a private name of another module."""
 
 import ast
 import re
@@ -132,6 +132,19 @@ def test_module_uses_every_import(path):
             imported |= {a.asname or a.name for a in node.names}
     unused = sorted(imported - _references(tree))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_no_module_imports_a_private_name():
+    # a name another module needs is public in its home module
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported across modules: {private}"
 
 
 def test_all_is_exactly_what_init_imports():
