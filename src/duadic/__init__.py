@@ -28,7 +28,6 @@ from .cyclotomic import (
     CyclotomicCoset,
     DefiningSet,
     WeightClassSpec,
-    complement_spec,
     coset,
     defining_set,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "best_certificate",
     "bounded_min_distance",
     "classify",
-    "complement_spec",
     "coset",
     "default_v_candidates",
     "defining_set",

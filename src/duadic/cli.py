@@ -17,7 +17,7 @@ from itertools import chain
 from . import gf2poly
 from .bounds import LEMMA_IDS, SIDES, HypothesisError, best_certificate, lemma_window, verify_lemma_membership
 from .code import dual, extend, from_class_polys, is_doubly_even, is_self_dual
-from .cyclotomic import WeightClassSpec, check_r, complement_spec
+from .cyclotomic import WeightClassSpec, check_r
 from .gf2m import field
 from .mindist import ENUM_BUDGET_K, bounded_min_distance, exact_min_distance
 from .pairs import R8_REFERENCE_SETS, THEOREM_LEMMA, classify, enumerate_catalog, is_duadic
@@ -46,10 +46,6 @@ MINDIST_COLUMNS = [
     "r", "m", "S", "code", "n", "k", "method", "lower", "upper", "exact",
     "min_odd_weight", "seed", "effort", "witness_hex",
 ]
-
-# Rows of a JSON row list handed to json's C encoder at once: one write of
-# JSON output holds one batch of rows, not the whole document.
-JSON_BATCH_ROWS = 1 << 10
 
 _EPILOG = """\
 csv columns per command:
@@ -127,7 +123,7 @@ def _spec_json(spec):
         "r": spec.r,
         "m": spec.m,
         "S": list(spec.S),
-        "S_complement": list(complement_spec(spec).S),
+        "S_complement": list(spec.complement),
         "t": spec.t,
         "unchecked": spec.unchecked,
     }
@@ -241,12 +237,13 @@ def _catalog_rows(r, t):
     rows = []
     m_probe = t if t >= 3 else t + r  # smallest valid odd m with m = t mod r
     for s in enumerate_catalog(r, t):
-        verdict = classify(WeightClassSpec(r=r, m=m_probe, S=s))
+        spec = WeightClassSpec(r=r, m=m_probe, S=s)
+        verdict = classify(spec)
         lemma = THEOREM_LEMMA.get(verdict.theorem)
         # the theorem's bound d >= run + 1 = 2^((m-1)/2) + offset, for m = t and m = t + r (mod 2r)
         offs = lemma and [lemma_window(lemma, m, r, "S")[1] + 1 - (1 << ((m - 1) // 2)) for m in (t, t + r)]
         rows.append({
-            "r": r, "t": t, "S": _fmt_seq(s), "S_complement": _fmt_seq(c for c in range(r) if c not in s),
+            "r": r, "t": t, "S": _fmt_seq(s), "S_complement": _fmt_seq(spec.complement),
             "theorem": verdict.theorem,
             "d_offset_case_t": offs[0] if offs else None,
             "d_offset_case_t_plus_r": offs[1] if offs else None,
@@ -358,23 +355,19 @@ def cmd_verify_lemmas(args):
     windows = {(lemma, m, side): lemma_window(lemma, m, args.r, side)
                for lemma in LEMMA_IDS for m in m_list for side in SIDES}
     rows = []
-    failures = 0
     for spec in specs:
         s_text = _fmt_seq(spec.S)
         for lemma in LEMMA_IDS:
-            for side in SIDES:
-                row = {"r": spec.r, "m": spec.m, "S": s_text, "lemma": lemma,
-                       "side": side, "v": None, "window": None, "detail": None}
-                try:
-                    ok = verify_lemma_membership(spec, lemma, side)
-                except HypothesisError as exc:
-                    row.update({"status": "skip", "detail": str(exc)})
-                else:
-                    v, window = windows[lemma, spec.m, side]
-                    row.update({"status": "pass" if ok else "fail", "v": v, "window": window})
-                    if not ok:
-                        failures += 1
-                rows.append(row)
+            try:  # the hypotheses do not depend on the side: a failed one skips both with one message
+                oks, detail = [verify_lemma_membership(spec, lemma, side) for side in SIDES], None
+            except HypothesisError as exc:
+                oks, detail = [None] * len(SIDES), str(exc)
+            for side, ok in zip(SIDES, oks):
+                v, window = (None, None) if ok is None else windows[lemma, spec.m, side]
+                status = "skip" if ok is None else "pass" if ok else "fail"
+                rows.append({"r": spec.r, "m": spec.m, "S": s_text, "lemma": lemma, "side": side,
+                             "status": status, "v": v, "window": window, "detail": detail})
+    failures = sum(row["status"] == "fail" for row in rows)
     payload = {
         "command": "verify-lemmas", "r": args.r, "m_list": m_list,
         "rows": rows, "failures": failures,
@@ -458,59 +451,36 @@ def _json_leaf(obj, pad):
     return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
 
 
-def _json_rows(rows, pad, buf):
-    """Append the indented text of a row list to buf, a batch of
-    JSON_BATCH_ROWS rows per C-encoder call, and yield buf's text after each
-    batch. Within a batch the rows come out joined by "}," + newline + the
+def _json_parts(obj, pad=""):
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`, its first
+    line at indentation pad, as a list of parts: indent=2 would need json's
+    pure-Python encoder, so json's C encoder writes every container of
+    scalars. Dict keys are str, as in every payload. A list of flat rows is
+    one C-encoder call, which joins two rows by "}," + newline + the
     members' indentation + "{"; JSON text holds no raw newline inside a
     string, and members are scalars, so that text occurs only between two
     rows, where indent=2 closes one row and opens the next on lines of
     their own."""
-    item, member = pad + "  ", pad + "    "
-    joint, spliced = "},\n" + member + "{", f"\n{item}}},\n{item}{{\n{member}"
-    sep = "[\n"
-    for i in range(0, len(rows), JSON_BATCH_ROWS):
-        text = json.dumps(rows[i:i + JSON_BATCH_ROWS], sort_keys=True, separators=(",\n" + member, ": "))
-        buf.append(f"{sep}{item}{{\n{member}{text[2:-2].replace(joint, spliced)}\n{item}}}")
-        yield "".join(buf)
-        buf.clear()
-        sep = ",\n"
-    buf.append(f"\n{pad}]")
-
-
-def _json_parts(obj, pad, buf):
-    """Append the text of `json.dumps(obj, sort_keys=True, indent=2)`, its
-    first line at indentation pad, to buf, yielding buf's text after each
-    batch of rows. Dict keys are str, as in every payload."""
     if isinstance(obj, dict) and not _is_flat(obj.values()):
         members, brackets = [(f"{json.dumps(key)}: ", obj[key]) for key in sorted(obj)], "{}"
     elif isinstance(obj, (list, tuple)) and not _is_flat(obj):
         if _is_row_list(obj):
-            yield from _json_rows(obj, pad, buf)
-            return
+            item, member = pad + "  ", pad + "    "
+            text = json.dumps(obj, sort_keys=True, separators=(",\n" + member, ": "))
+            text = text.replace("},\n" + member + "{", f"\n{item}}},\n{item}{{\n{member}")
+            # brackets as parts of their own: joining them here would hold a third copy of the rows
+            return [f"[\n{item}{{\n{member}", text[2:-2], f"\n{item}}}\n{pad}]"]
         members, brackets = [("", value) for value in obj], "[]"
     else:
-        buf.append(_json_leaf(obj, pad))
-        return
+        return [_json_leaf(obj, pad)]
     inner = pad + "  "
-    sep = brackets[0] + "\n"
+    parts, sep = [], brackets[0] + "\n"
     for prefix, value in members:
-        buf.append(sep + inner + prefix)
-        yield from _json_parts(value, inner, buf)
+        parts.append(sep + inner + prefix)
+        parts += _json_parts(value, inner)
         sep = ",\n"
-    buf.append(f"\n{pad}{brackets[1]}")
-
-
-def _json_batches(payload):
-    """The text of `json.dumps(payload, sort_keys=True, indent=2)` + a
-    newline, in parts of at most one batch of rows each plus the text
-    before it. indent=2 would need json's pure-Python encoder, and
-    `json.dumps` would hold the whole document's chunk list; here json's C
-    encoder writes every container of scalars."""
-    buf = []
-    yield from _json_parts(payload, "", buf)
-    buf.append("\n")
-    yield "".join(buf)
+    parts.append(f"\n{pad}{brackets[1]}")
+    return parts
 
 
 def _csv_body(columns, rows):
@@ -523,24 +493,22 @@ def _csv_body(columns, rows):
 
 
 def _emit(args, payload, rows, columns, text):
-    """Write one command's result in the requested format: to stdout part by
-    part, or to --out once every part is made, so the file never holds a
+    """Write one command's result in the requested format, to stdout or to
+    --out, in one write of the whole document, so --out never holds a
     partial document. text is a callable, so the text rendering runs only
     for --format text."""
     if args.format == "json":
-        parts = _json_batches(payload)
+        document = "".join(_json_parts(payload) + ["\n"])
     elif args.format == "csv":
-        parts = [_csv_body(columns, rows)]
+        document = _csv_body(columns, rows)
     else:
-        parts = [text() + "\n"]
+        document = text() + "\n"
     if not args.out:
-        for part in parts:
-            sys.stdout.write(part)
+        sys.stdout.write(document)
         return
-    parts = list(parts)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+            fh.write(document)
     except OSError as exc:
         raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
 

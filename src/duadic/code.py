@@ -93,7 +93,7 @@ def from_class_polys(spec, polys):
     g = polys.product(spec.S)
     if gf2poly.degree(g) != T.size:
         raise AssertionError("generator degree disagrees with the defining set")
-    h = gf2poly.mul(0b11, polys.product([c for c in range(spec.r) if c not in spec.S]))
+    h = gf2poly.mul(0b11, polys.product(spec.complement))
     return CyclicCode(g=g, h=h, T=T)
 
 

@@ -190,12 +190,10 @@ class WeightClassSpec:
     def t(self):
         return self.m % self.r
 
-
-def complement_spec(spec):
-    """The spec for S' = Z_r \\ S (the other half of a would-be splitting)."""
-    s = set(spec.S)
-    comp = tuple(c for c in range(spec.r) if c not in s)
-    return WeightClassSpec(r=spec.r, m=spec.m, S=comp, unchecked=spec.unchecked)
+    @property
+    def complement(self):
+        """S' = Z_r \\ S, ascending: the other half of a would-be splitting."""
+        return tuple(c for c in range(self.r) if c not in self.S)
 
 
 @lru_cache(maxsize=64)

@@ -84,8 +84,7 @@ def classify(spec):
     if spec.unchecked or not is_duadic(spec):
         return _NO_VERDICT
     r, m, t = spec.r, spec.m, spec.t
-    s = frozenset(spec.S)
-    comp = frozenset(range(r)) - s
+    s, comp = frozenset(spec.S), frozenset(spec.complement)
     matches = []  # (theorem, lemma, v, run) per matching family
     for theorem, lemma in THEOREM_LEMMA.items():
         if lemma_hypothesis_gap(lemma, r, t, s) is None:

@@ -5,9 +5,15 @@ import math
 import numpy as np
 
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
-from duadic.cyclotomic import DefiningSet, complement_spec, coset, defining_set, weight_classes
+from duadic.cyclotomic import DefiningSet, WeightClassSpec, coset, defining_set, weight_classes
 from duadic.gf2poly import generator_poly, mod
 from duadic.pairs import _NO_VERDICT, THEOREM_LEMMA, TheoremVerdict
+
+
+def complement_spec(spec):
+    """The spec for S' = Z_r \\ S (the other half of a would-be splitting)."""
+    comp = tuple(sorted(set(range(spec.r)) - set(spec.S)))
+    return WeightClassSpec(r=spec.r, m=spec.m, S=comp, unchecked=spec.unchecked)
 
 
 def generator_rows(c):

@@ -16,13 +16,13 @@ from duadic.code import (
     is_doubly_even,
     is_self_dual,
 )
-from duadic.cyclotomic import WeightClassSpec, complement_spec, defining_set
+from duadic.cyclotomic import WeightClassSpec, defining_set
 from duadic.gf2m import field
 from duadic.gf2poly import check_poly, generator_poly, mul, x_pow_plus_one
 from duadic.mindist import exact_min_distance, weight_distribution
 from duadic.pairs import R8_REFERENCE_SETS, classify, enumerate_catalog
 
-from _oracles import eval_at_powers, generator_rows, is_even_weight_subcode, matrix_product_is_zero, members
+from _oracles import complement_spec, eval_at_powers, generator_rows, is_even_weight_subcode, matrix_product_is_zero, members
 
 ALL_R = (2, 4, 6, 8)
 ODD_M_17 = tuple(range(3, 18, 2))

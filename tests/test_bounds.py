@@ -19,7 +19,7 @@ from duadic.bounds import (
     verify_lemma_membership,
 )
 from duadic.code import from_defining_set
-from duadic.cyclotomic import DefiningSet, WeightClassSpec, complement_spec, defining_set
+from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.mindist import exact_min_distance
 from duadic.pairs import classify, enumerate_catalog
 
@@ -220,7 +220,7 @@ def test_lemma_engine_agreement():
                             continue
                         assert ok, (m, r, s, which, side)
                         v, b = lemma_window(which, m, r, side)
-                        target = spec if side == "S" else complement_spec(spec)
+                        target = spec if side == "S" else _oracles.complement_spec(spec)
                         assert max_ap_run(defining_set(target), v).run_length >= b
 
 

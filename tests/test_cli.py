@@ -9,11 +9,11 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duadic
-from duadic import cli, gf2poly
+from duadic import bounds, cli, gf2poly
 from duadic.bounds import best_certificate, max_ap_run
 from duadic.cli import _catalog_rows, main
 from duadic.code import CyclicCode, dual, extend, from_defining_set
@@ -323,7 +323,7 @@ GOLDEN_DIGESTS = [
     ("mindist -r 8 -m 9 -S 0,2,3,4 --code extended", "json", "f9340c2e6a1fae606c1f58b6e8c6edcaf87886f6bbb5035c0e6ee17f72297c6c"),
     ("mindist -r 16 -m 6 -S 1,2,3 --unchecked --code dual", "json", "de972cee2e7eff1b8470c04dae74874d5f6fb55de43d020051cfa8fc564706af"),
     ("mindist -r 4 -m 10 -S 0,1 --unchecked --code dual", "json", "3c852611f7090eab44e7abe8c4a2c4fe37d35c528fb72197fa5aa14396036686"),
-    # 6144 rows, so the JSON document is written in several row batches
+    # 6144 rows, recorded while the JSON document was written in several row batches
     ("verify-lemmas -r 16 -m 9,11,13", "json", "5b0ceb181d2924d2bd204eeacb695f949482cb8da76d42806db92869f5230aae"),
     ("verify-lemmas -r 16 -m 9,11,13", "csv", "cc80eea0ac94afa4b34487410956c1c4473b2cd505392b599214568ef6c3b4d5"),
     # the 256-row catalog that each survey op of the benchmark builds, every row classified
@@ -373,6 +373,26 @@ def test_verify_lemmas(capsys):
     assert all(r["v"] == 15 and r["window"] == 18 for r in l3)
     code, _, err = run_cli(capsys, "verify-lemmas", "-r", "8", "-m", "4")
     assert code == 2
+
+
+def test_verify_lemmas_words_one_hypothesis_error_per_skipped_lemma(capsys, monkeypatch):
+    worded = []
+
+    class CountedHypothesisError(bounds.HypothesisError):
+        def __init__(self, message):
+            worded.append(message)
+            super().__init__(message)
+
+    monkeypatch.setattr(bounds, "HypothesisError", CountedHypothesisError)
+    code, payload, _ = run_json(capsys, "verify-lemmas", "-r", "8", "-m", "9,11")
+    assert code == 0
+    skipped = [row for row in payload["rows"] if row["status"] == "skip"]
+    by_lemma = {}
+    for row in skipped:
+        by_lemma.setdefault((row["m"], row["S"], row["lemma"]), []).append(row["detail"])
+    # both sides of a skipped (spec, lemma) share one message
+    assert by_lemma and all(len(details) == 2 and len(set(details)) == 1 for details in by_lemma.values())
+    assert len(worded) == len(by_lemma)
 
 
 def test_mindist_exact_and_dual(capsys):
@@ -482,23 +502,19 @@ def test_multi_batch_json_out_file_equals_stdout(tmp_path, capsys):
 
 
 class _DiscardingSink:
-    """A stdout stand-in that keeps only the number and sizes of the writes made to it."""
+    """A stdout stand-in that keeps only the number of characters written to it."""
 
     def __init__(self):
-        self.chars = self.writes = self.largest = 0
+        self.chars = 0
 
     def write(self, text):
         self.chars += len(text)
-        self.writes += 1
-        self.largest = max(self.largest, len(text))
 
 
-def test_json_output_is_written_in_bounded_row_batches(monkeypatch):
+def test_json_output_peaks_below_three_times_its_size(monkeypatch):
     args = cli.build_parser().parse_args(["verify-lemmas", "-r", "16", "-m", "9,11,13,15,17,19", "--format", "json"])
     _, payload, rows, columns, text = args.handler(args)
-    assert len(rows) == 12288 and len(rows) > 3 * cli.JSON_BATCH_ROWS
-    # one row as indent=2 lays it out inside the document, four spaces in, with its joint ",\n"
-    row_chars = max(len(json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")) + 6 for row in rows)
+    assert len(rows) == 12288
     sink = _DiscardingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -508,9 +524,7 @@ def test_json_output_is_written_in_bounded_row_batches(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert sink.writes == -(-len(rows) // cli.JSON_BATCH_ROWS) + 1  # the row batches, then the document's tail
-    assert sink.largest <= cli.JSON_BATCH_ROWS * row_chars + 256  # one batch and the document's header
-    # one batch at a time; holding every chunk and the joined document, as json.dumps(indent=2) does, is about 6.9x
+    # at most two copies of the text at once; holding every chunk and the joined document, as json.dumps(indent=2) does, is about 6.9x
     assert peak < 3 * sink.chars
 
 
@@ -536,20 +550,11 @@ _JSON_DOCUMENTS = st.recursive(
 
 
 @settings(max_examples=400, deadline=None)
-@given(document=_JSON_DOCUMENTS, batch_rows=st.integers(min_value=1, max_value=3))
-def test_json_batches_equal_indented_dumps(document, batch_rows):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "JSON_BATCH_ROWS", batch_rows)
-        text = "".join(cli._json_batches(document))
-    assert text == json.dumps(document, sort_keys=True, indent=2) + "\n"
-
-
-def test_json_batches_of_a_row_list_span_several_batches(monkeypatch):
-    rows = [{"S": "0,1", "detail": "},\n    {", "v": i} for i in range(7)] + [{"other": None}]
-    monkeypatch.setattr(cli, "JSON_BATCH_ROWS", 3)
-    parts = list(cli._json_batches({"rows": rows, "r": 2}))
-    assert len(parts) == 4  # three row batches, then the document's tail
-    assert "".join(parts) == json.dumps({"rows": rows, "r": 2}, sort_keys=True, indent=2) + "\n"
+@given(document=_JSON_DOCUMENTS)
+# a row list whose strings look like the joint of two rows, and a row with other keys
+@example(document={"rows": [{"S": "0,1", "detail": "},\n    {", "v": i} for i in range(7)] + [{"other": None}], "r": 2})
+def test_json_parts_equal_indented_dumps(document):
+    assert "".join(cli._json_parts(document)) == json.dumps(document, sort_keys=True, indent=2)
 
 
 def test_custom_v_candidates(capsys):

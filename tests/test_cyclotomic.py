@@ -11,13 +11,12 @@ from duadic.cyclotomic import (
     CyclotomicCoset,
     DefiningSet,
     WeightClassSpec,
-    complement_spec,
     coset,
     defining_set,
     rotations,
 )
 
-from _oracles import from_indices, from_leaders, leaders_of_z_n, members
+from _oracles import complement_spec, from_indices, from_leaders, leaders_of_z_n, members
 
 
 def test_coset_examples():
@@ -86,9 +85,9 @@ def test_doubling_preserves_weight_exhaustive(m):
 
 
 def test_complement_spec_examples():
-    assert complement_spec(WeightClassSpec(r=8, m=9, S=(0, 2, 3, 4))).S == (1, 5, 6, 7)
-    assert complement_spec(WeightClassSpec(r=2, m=3, S=(0,))).S == (1,)
-    assert complement_spec(WeightClassSpec(r=4, m=7, S=(1, 3))).S == (0, 2)
+    for r, m, s, comp in [(8, 9, (0, 2, 3, 4), (1, 5, 6, 7)), (2, 3, (0,), (1,)), (4, 7, (1, 3), (0, 2))]:
+        spec = WeightClassSpec(r=r, m=m, S=s)
+        assert spec.complement == complement_spec(spec).S == comp
 
 
 def test_spec_validation():

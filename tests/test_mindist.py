@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from duadic import mindist
 from duadic._bits import from_bool, to_bool
 from duadic.code import dual, extend, from_defining_set
-from duadic.cyclotomic import DefiningSet, WeightClassSpec, complement_spec, defining_set
+from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.mindist import (
     CertifiedBound,
     bounded_min_distance,
@@ -22,7 +22,7 @@ from duadic.mindist import (
 )
 from duadic.pairs import enumerate_catalog
 
-from _oracles import generator_rows, rank, row_reduce
+from _oracles import complement_spec, generator_rows, rank, row_reduce
 
 
 def _code(r, m, S, unchecked=False):
