@@ -553,7 +553,16 @@ _JSON_DOCUMENTS = st.recursive(
 @given(document=_JSON_DOCUMENTS)
 # a row list whose strings look like the joint of two rows, and a row with other keys
 @example(document={"rows": [{"S": "0,1", "detail": "},\n    {", "v": i} for i in range(7)] + [{"other": None}], "r": 2})
-def test_json_parts_equal_indented_dumps(document):
+def test_json_batches_equal_indented_dumps(document):
+    assert "".join(cli._json_parts(document)) == json.dumps(document, sort_keys=True, indent=2)
+
+
+def test_json_batches_of_a_row_list_span_several_batches():
+    # more rows than several of the 1024-row batches the output was once written in
+    rows = [{"S": "0,1", "detail": "},\n    {", "v": i} for i in range(3 * 1024 + 1)] + [{"other": None}]
+    # a row list is one C-encoder call at any length: its opening, its rows, its closing
+    assert len(cli._json_parts(rows)) == 3
+    document = {"rows": rows, "r": 2}
     assert "".join(cli._json_parts(document)) == json.dumps(document, sort_keys=True, indent=2)
 
 
