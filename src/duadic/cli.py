@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from itertools import chain
@@ -574,6 +575,8 @@ def build_parser():
 
 
 def main(argv=None):
+    # numpy loads on first use, and no command calls BLAS: OpenBLAS then starts no worker thread to spin idle
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "handler", None):

@@ -9,6 +9,8 @@ row-reduced together on bit-packed generator columns, and each trial scans
 only the redundancy part of its reduced rows.
 """
 
+import numbers
+import random
 from dataclasses import dataclass
 
 from ._bits import from_bool
@@ -190,11 +192,27 @@ def _generator_columns(c):
     return np.ascontiguousarray(_transpose_bits(rows.reshape(c.k, words).T)[:, :c.n])
 
 
-def _reduced_trials(cols, k, effort, rng, batch):
-    """Yield (perm, pivots, rest, parts) for `effort` trials. perm is drawn by
-    rng.permutation(n), one trial after another. The other three give the
-    reduced row echelon form of the generator with its columns in perm
-    order, as the Python-int `row_reduce` of the test oracles gives it:
+def _permutations(seed, n):
+    """The search's column permutations: an endless stream of permutations
+    of range(n), drawn from random.Random(seed). Each is the stable argsort
+    of n keys, the little-endian 64-bit words of one getrandbits(64 * n), so
+    a seed gives the same stream on every CPython 3. Raises ValueError at
+    the first draw for a seed that is not a non-negative integer, where
+    random.Random would use |seed| or hash a float."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = random.Random(int(seed))
+    while True:
+        keys = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+        yield np.argsort(keys, kind="stable")
+
+
+def _reduced_trials(cols, k, effort, stream, batch):
+    """Yield (perm, pivots, rest, parts) for `effort` trials. perm is the
+    next permutation of the iterator `stream` (see `_permutations`), one
+    trial after another. The other three give the reduced row echelon form
+    of the generator with its columns in perm order, as the Python-int
+    `row_reduce` of the test oracles gives it:
     pivots at the highest positions first, rows in pivot order. pivots are
     the k pivot positions, descending; rest the other n - k positions,
     ascending; and parts the rows' bits at rest as a
@@ -209,7 +227,7 @@ def _reduced_trials(cols, k, effort, rng, batch):
     """
     words, n = cols.shape
     for first in range(0, effort, batch):
-        perms = [rng.permutation(n) for _ in range(min(batch, effort - first))]
+        perms = [next(stream) for _ in range(min(batch, effort - first))]
         x = cols[:, np.stack(perms)]  # (words, trial, position)
         t = np.arange(len(perms))
         used = np.zeros((words, len(perms)), dtype=cols.dtype)
@@ -243,14 +261,16 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
 
     Each of the `effort` trials permutes the columns, row-reduces to a
     systematic form, and scans all codewords built from messages of weight
-    at most 3. The trials are row-reduced in batches of about
-    PAIR_BLOCK_WORDS words and scanned in order; the search stops once the
-    best word reaches the lower bound. Deterministic for a fixed seed;
-    effort 0 reports the first generator row itself as the upper witness,
-    reads no other row and builds no random generator. Raises ValueError
-    for a negative effort, and before allocating when the packed generator
-    rows and columns, one batch of permuted columns and one trial's reduced
-    rows would exceed ISD_MEMORY_BUDGET bytes.
+    at most 3. The permutations are `_permutations(seed, n)`, so a seed
+    gives the same result on every CPython 3. The trials are row-reduced in
+    batches of about PAIR_BLOCK_WORDS words and scanned in order; the
+    search stops once the best word reaches the lower bound. Effort 0
+    reports the first generator row itself as the upper witness, reads no
+    other row and draws no permutation. Raises ValueError for a negative
+    effort; before allocating when the packed generator rows and columns,
+    one batch of permuted columns and one trial's reduced rows would
+    exceed ISD_MEMORY_BUDGET bytes; and, when a trial runs, for a seed
+    that is not a non-negative integer.
     """
     if effort < 0:
         raise ValueError(f"effort must be a non-negative integer, got {effort}")
@@ -271,7 +291,7 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
     best_word = c.generator_row(0)
     best_w = best_word.bit_count()
     if effort and best_w > lower:
-        trials = _reduced_trials(_generator_columns(c), k, effort, np.random.default_rng(seed), batch)
+        trials = _reduced_trials(_generator_columns(c), k, effort, _permutations(seed, n), batch)
         for perm, pivots, rest, parts in trials:
             chosen = list(_light_messages_best(parts))
             # the word's support: the chosen rows' pivots and the positions where their parts xor to 1

@@ -489,14 +489,14 @@ def test_out_file(tmp_path, capsys):
     assert payload["report"]["n"] == 7
 
 
-_MULTI_BATCH = ("verify-lemmas", "-r", "16", "-m", "9,11,13", "--format", "json")
+_LEMMAS_1_5_MB = ("verify-lemmas", "-r", "16", "-m", "9,11,13", "--format", "json")
 
 
-def test_multi_batch_json_out_file_equals_stdout(tmp_path, capsys):
+def test_1_5_mb_json_stdout_equals_out_file(tmp_path, capsys):
     target = tmp_path / "lemmas.json"
-    code, out, _ = run_cli(capsys, *_MULTI_BATCH)
+    code, out, _ = run_cli(capsys, *_LEMMAS_1_5_MB)
     assert code == 0 and len(out) > 1_000_000
-    code, empty, _ = run_cli(capsys, *_MULTI_BATCH, "--out", str(target))
+    code, empty, _ = run_cli(capsys, *_LEMMAS_1_5_MB, "--out", str(target))
     assert code == 0 and empty == ""
     assert target.read_bytes() == out.encode()
 
@@ -660,11 +660,12 @@ def test_huge_r_is_refused_before_any_class_is_built(capsys, argv):
     assert (code, out, err) == (2, "", "error: r must be at most 40, got 100000000\n")
 
 
-def _run_fresh(script):
-    """stdout of script run by a fresh interpreter that imports duadic from this source tree."""
+def _run_fresh(script, *args):
+    """stdout of script, given args, run by a fresh interpreter that imports duadic from this source tree."""
     src = os.path.dirname(os.path.dirname(duadic.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
 
 
 _CATALOG_AND_LEMMAS_WITHOUT_NUMPY = """
@@ -705,9 +706,33 @@ print(json.dumps(loaded))
 """
 
 
-def test_mindist_effort_zero_never_imports_numpy_random():
-    # the search's random generator is built only for a trial; effort 0 runs none
-    assert json.loads(_run_fresh(_MINDIST_RANDOM_MODULE)) == [[0, True, False], [0, True, True]]
+def test_mindist_never_imports_numpy_random():
+    # the search draws its permutations from the standard library's random, with or without a trial
+    assert json.loads(_run_fresh(_MINDIST_RANDOM_MODULE)) == [[0, True, False], [0, True, False]]
+
+
+_BLAS_THREADS = """
+import contextlib, io, json, os, sys
+user = sys.argv[1] if len(sys.argv) > 1 else None
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+if user:
+    os.environ["OPENBLAS_NUM_THREADS"] = user
+from duadic.cli import main
+
+imported = os.environ.get("OPENBLAS_NUM_THREADS")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["construct", "-r", "8", "-m", "9", "-S", "0,2,3,4"])
+print(json.dumps([code, "numpy" in sys.modules, imported, os.environ.get("OPENBLAS_NUM_THREADS"),
+                  len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the threads in /proc/self/task")
+def test_cli_starts_no_blas_worker_and_keeps_a_user_setting():
+    # no command calls BLAS, so main caps OpenBLAS at the calling thread before numpy loads; importing duadic sets
+    # nothing, and a value the user set is kept
+    assert json.loads(_run_fresh(_BLAS_THREADS)) == [0, True, None, "1", 1]
+    assert json.loads(_run_fresh(_BLAS_THREADS, "2"))[:4] == [0, True, "2", "2"]
 
 
 _NUMPY_MA_MODULE = """

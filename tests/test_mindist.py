@@ -1,7 +1,7 @@
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from operator import xor
 from unittest import mock
 
@@ -257,28 +257,26 @@ def test_light_messages_match_reference(rows, block_words):
 @pytest.mark.parametrize("r, m, S", [(2, 3, (1,)), (2, 5, (1,)), (2, 7, (1,))])
 def test_light_messages_match_reference_on_search_trials(r, m, S):
     c = _code(r, m, S)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        perm = rng.permutation(c.n)
+    for perm in islice(mindist._permutations(5, c.n), 3):
         permuted = [sum(((row >> int(p)) & 1) << j for j, p in enumerate(perm)) for row in generator_rows(c)]
         reduced, _ = row_reduce(permuted)
         assert _scan_reduced(reduced) == _light_messages_reference(reduced)
 
 
 def _reference_search(c, seed, efforts, scan):
-    """The per-trial search on Python-int rows: per trial one permutation
-    from the seeded generator, `row_reduce` and `scan` over the reduced
-    rows, a strictly lighter word replacing the best, and a stop
-    once the best reaches the lower bound. Returns, for each effort, the
+    """The per-trial search on Python-int rows: per trial the next
+    permutation of the search's own seeded stream, `row_reduce` and `scan`
+    over the reduced rows, a strictly lighter word replacing the best, and
+    a stop once the best reaches the lower bound. Returns, for each effort, the
     (upper, witness, trials scanned) the search of that effort ends with."""
     lower = bounded_min_distance(c, effort=0).lower
     best = c.generator_row(0)
     states = [(best.bit_count(), best, 0)]
-    rng = np.random.default_rng(seed)
+    stream = mindist._permutations(seed, c.n)
     for trial in range(1, max(efforts) + 1):
         if best.bit_count() <= lower:
             break
-        perm = rng.permutation(c.n)
+        perm = next(stream)
         bits = np.stack([to_bool(row, c.n)[perm] for row in generator_rows(c)])
         found = scan(row_reduce(from_bool(row) for row in bits)[0])
         word = from_bool(to_bool(found, c.n)[np.argsort(perm)])
@@ -326,20 +324,20 @@ def test_batched_search_equals_the_per_trial_reference(r, m, S, extended, seeds,
 
 # (lower, upper, witness) as found by the Python-loop scan
 _M9_WITNESS = int(
-    "4c000000040124024000801804110006810246820802022888810303281000120192504c42010800500008a200e840e109000a000010042"
-    "000000110802722f0", 16)
-# recorded with the per-trial search, before trials were row-reduced in batches (here three batches of 4, 4 and 2)
+    "4289100804000300008018340d00440110080200020c40c51810080850a0104c"
+    "8021000a00000408c00504020cc1300c8d0040050019200901502080800a4080", 16)
+# row-reduced in three batches of 4, 4 and 2 trials
 _M9_EFFORT10_WITNESS = int(
-    "10000008008804184400040000000800400108109043201140084022040846a8"
-    "0000888001041c20c00800010001046208000900000401190120108010082003", 16)
+    "410000008040400200218035000540040248140080c1d00244c0500020104000"
+    "145800880a20804c0004000000502e05108801c0110040a1002409182a828008", 16)
 
 
 @pytest.mark.parametrize("r, m, S, extended, effort, seed, lower, upper, witness", [
-    (2, 7, (1,), False, 20, 7, 9, 19, 0x1C021004000810430600002015804000),
-    (2, 7, (1,), False, 200, 1, 9, 19, 0x4000810430600002015804000380420),
+    (2, 7, (1,), False, 20, 7, 9, 19, 0x400401010200081C2A0000000400687),
+    (2, 7, (1,), False, 200, 1, 9, 19, 0x4200020081000851044200484420C00),
     (8, 9, (0, 2, 3, 4), False, 1, 1, 19, 91, _M9_WITNESS),
-    (8, 9, (0, 2, 3, 4), False, 10, 1, 19, 71, _M9_EFFORT10_WITNESS),
-    (2, 7, (1,), True, 5, 3, 10, 20, 0x8060000E22801188000502000050108),
+    (8, 9, (0, 2, 3, 4), False, 10, 1, 19, 87, _M9_EFFORT10_WITNESS),
+    (2, 7, (1,), True, 5, 3, 10, 20, 0x260010AA101800900880020820A),
 ], ids=["m7-effort20-seed7", "m7-effort200-seed1", "m9-effort1-seed1", "m9-effort10-seed1", "m7-extended-effort5-seed3"])
 def test_bounded_search_golden(r, m, S, extended, effort, seed, lower, upper, witness):
     c = _code(r, m, S)
@@ -351,13 +349,46 @@ def test_bounded_search_golden(r, m, S, extended, effort, seed, lower, upper, wi
 
 
 def test_batched_search_stops_inside_a_batch():
-    # [64, 36], 128 trials per batch: seed 0 reaches the BCH bound 8 at the second trial and scans no third
+    # [64, 36], 128 trials per batch: seed 2 reaches the BCH bound 8 at the second trial and scans no third
     c = extend(_code(4, 6, (1, 2), unchecked=True))
     assert bounded_min_distance(c, effort=0).lower == 8
     for effort in (2, 3, 128, 129):
-        upper, witness, trials = _search_trials(c, effort, 0)
+        upper, witness, trials = _search_trials(c, effort, 2)
         assert (upper, trials) == (8, 2) and c.contains(witness)
-    assert _search_trials(c, 1, 0)[0] > 8
+    assert _search_trials(c, 1, 2)[0] > 8
+
+
+def test_permutations_are_one_seeded_stream():
+    # the stable argsort of the little-endian 64-bit words of random.Random(seed).getrandbits(64 n)
+    for seed, first in [(1, [2, 3, 7, 6, 5, 8, 0, 4, 1, 9]), (2**70 + 3, [3, 8, 6, 5, 0, 7, 4, 9, 2, 1])]:
+        assert next(mindist._permutations(seed, 10)).tolist() == first
+    assert next(mindist._permutations(np.int64(1), 10)).tolist() == [2, 3, 7, 6, 5, 8, 0, 4, 1, 9]
+    for n in (1, 7, 127, 2048):
+        perms = [p.tolist() for p in islice(mindist._permutations(3, n), 4)]
+        assert all(sorted(p) == list(range(n)) for p in perms)
+        assert [p.tolist() for p in islice(mindist._permutations(3, n), 4)] == perms
+    assert len({tuple(next(mindist._permutations(seed, 127)).tolist()) for seed in range(20)}) == 20
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 1.0, "1", None])
+def test_search_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # random.Random would take |seed| or hash the value
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        bounded_min_distance(_code(2, 7, (1,)), effort=1, seed=seed)
+
+
+def test_search_reaches_weight_19_at_m7_at_every_seed():
+    c = _code(2, 7, (1,))  # [127, 64]
+    assert max(bounded_min_distance(c, effort=16, seed=seed).upper for seed in range(20)) <= 19
+
+
+@pytest.mark.parametrize("r, m", [(2, 3), (2, 5), (4, 3), (4, 5)])
+def test_one_trial_reaches_the_transform_distance(r, m):
+    # every catalog code and its extension, k = 4 or 16, at seeds 0-19
+    for s in enumerate_catalog(r, m % r):
+        for c in (_code(r, m, s), extend(_code(r, m, s))):
+            d = exact_min_distance(c).lower
+            assert {bounded_min_distance(c, effort=1, seed=seed).upper for seed in range(20)} == {d}, (s, c.n)
 
 
 def test_exact_examples():
