@@ -36,8 +36,10 @@ def leaders_of_z_n(m):
     """The coset leaders of Z_n, n = 2^m - 1, ascending, as a read-only
     int32 array: the residues at most each of their m rotations. After
     each rotation the residues that exceed it are dropped, so later
-    rotations run over fewer of them. Kept once per m for
-    `DefiningSet.coset_leaders` and the minimal polynomial table."""
+    rotations run over fewer of them. Kept once per m for its three
+    readers: `DefiningSet.coset_leaders`, the minimal polynomial table
+    (`gf2poly._minimal_poly_table`) and the class leaders of
+    `gf2poly.class_polys`."""
     leaders = rotated = np.arange((1 << m) - 1, dtype=np.int32)
     for _ in range(m - 1):
         rotated = _doubled(rotated, m)
@@ -208,12 +210,6 @@ def _weight_class_bitmaps(m, r):
         arr[0] = False  # j ranges over 1..n-1
         masks.append(_bool_to_bits(arr))
     return tuple(masks)
-
-
-def weight_classes(m, r):
-    """The classes W_c = {1 <= j <= n-1 : w_2(j) = c mod r} as DefiningSets, c in Z_r."""
-    n = (1 << m) - 1
-    return [DefiningSet(n=n, bits=bits) for bits in _weight_class_bitmaps(m, r)]
 
 
 def defining_set(spec):

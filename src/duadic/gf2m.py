@@ -1,8 +1,8 @@
-"""The field GF(2^m) as log/antilog tables.
+"""The field GF(2^m) as its antilog table.
 
 Field elements are plain Python ints: the bits of an element are its
 coordinates in the polynomial basis (bit i = coefficient of alpha^i).
-Addition is xor. The zero element is 0 and has no discrete log.
+Addition is xor. The zero element is 0 and is no power of alpha.
 """
 
 from functools import lru_cache
@@ -93,16 +93,16 @@ def _times_constant(c, v, modulus, m):
 class GF2m:
     """The field GF(2^m), 2 <= m <= 20, with alpha = x primitive, as its tables.
 
-    antilog_table[e] = alpha^e for e in Z_n, and log_table[a] = e with
-    alpha^e = a for nonzero a, log_table[0] = -1 (n = 2^m - 1). Both are
-    read-only numpy arrays, so an instance is safe for concurrent reads.
+    antilog_table[e] = alpha^e for e in Z_n (n = 2^m - 1), a read-only
+    numpy array, so an instance is safe for concurrent reads. No command
+    takes a discrete log, so no log table is kept.
 
     The antilog table is filled one power at a time only for e < 256.
     Then the filled prefix a[0:B] doubles: a[B:2B] = alpha^B * a[0:B], by
     `_times_constant`, about log2(n / 256) numpy passes in all.
     """
 
-    __slots__ = ("m", "n", "modulus", "antilog_table", "log_table")
+    __slots__ = ("m", "n", "modulus", "antilog_table")
 
     def __init__(self, m):
         self.modulus = smallest_primitive_modulus(m)
@@ -123,11 +123,8 @@ class GF2m:
             antilog[filled : filled + step] = _times_constant(x, antilog[:step], self.modulus, m)
             filled += step
             x = _mulmod(x, x, self.modulus, m)
-        log = np.full(1 << m, -1, dtype=np.int32)
-        log[antilog] = np.arange(self.n, dtype=np.int32)
         antilog.flags.writeable = False
-        log.flags.writeable = False
-        self.antilog_table, self.log_table = antilog, log
+        self.antilog_table = antilog
 
     def __repr__(self):
         return f"GF2m(m={self.m}, modulus={self.modulus:#x})"

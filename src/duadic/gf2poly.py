@@ -6,10 +6,14 @@ linear factors over GF(2^m). No field is passed in: the n of a defining
 set or coset fixes m, and the field is field(m). The path that builds a
 polynomial costs O(n log^2 n) rather than O(n^2):
 
-- The minimal polynomials of all cosets of GF(2^m) are expanded together
-  in one vectorised pass over the orbits of the leaders of Z_n and kept
-  per m (`_minimal_poly_table`). The leader array is itself kept per m
-  (`cyclotomic.leaders_of_z_n`) and shared with `DefiningSet.coset_leaders`.
+- The minimal polynomials of all cosets of GF(2^m) are found together
+  and kept per m (`_minimal_poly_table`): for one leader e of each pair
+  {C, -C}, one vectorised Berlekamp-Massey pass (Massey, IEEE Trans. IT
+  15, 1969) over the 2m bits s_k = bit 0 of alpha^(e k) gives the
+  minimal polynomial of alpha^(-e), and its reversal is that of
+  alpha^e. Each row is certified by its degree and a root. The leader
+  array is kept per m (`cyclotomic.leaders_of_z_n`) and shared with
+  `DefiningSet.coset_leaders` and `class_polys`.
 - `generator_poly(T)` multiplies the minimal polynomials of the cosets
   of T, each read by `minimal_poly(cs)`, through a balanced product tree.
 - The code of a weight-class spec (r, m, S) needs no per-coset product.
@@ -26,8 +30,8 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   of j, so -W_c = W_{(m-c) mod r}, and the minimal polynomial of
   alpha^{-j} is the reciprocal of that of alpha^j. `class_polys` builds
   one class of each pair {c, (m-c) mod r} and reverses it for the other
-  (at odd m no class pairs with itself), and `_minimal_poly_table`
-  expands one coset of each pair {C, -C}.
+  (at odd m no class pairs with itself). It reads the leaders of a class
+  off the leaders of Z_n by their weight mod r.
 - `mul` picks its method by operand size alone. Shift-xor costs one
   big-int shift and xor per set bit of the sparser operand: quadratic, but
   with no fixed cost, so below FFT_MIN_BITS it beats the transform. That
@@ -37,8 +41,10 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   FFT, rounds, and reduces mod 2. numpy's transform holds about four
   buffers of the transform length at once, so a product of more than
   FFT_MAX_BITS bits (la + lb - 1 for operands of la and lb bits) is split
-  into halves of its longer operand first. Each FFT's buffers then stay
-  near 2 MB.
+  first, and each FFT's buffers stay near 2 MB. The split halves the
+  longer operand, or, where those two products would split again but the
+  three Karatsuba products of both operands cut at the same point fit
+  (g * h = x^n + 1 at m = 19), forms these three instead of four.
 - The exact coefficients are integers below 2^18, far inside float64's
   exact range, and the transform's error is far below 1/2. That margin is
   measured, not proven, so the rounding guard requires every coefficient
@@ -51,7 +57,7 @@ from functools import lru_cache
 
 from ._bits import from_bool, to_bool
 from ._numpy import np
-from .cyclotomic import coset, leaders_of_z_n, rotations, weight_classes
+from .cyclotomic import coset, leaders_of_z_n, rotations
 from .gf2m import field
 
 NEG_INF = float("-inf")
@@ -73,16 +79,23 @@ def degree(p):
 
 def mul(a, b):
     """Product in GF(2)[x]. Shift-xor when an operand is shorter than
-    FFT_MIN_BITS; otherwise FFT, after halving the longer operand until the
-    product fits in FFT_MAX_BITS."""
+    FFT_MIN_BITS; otherwise FFT, after splitting until each product fits in
+    FFT_MAX_BITS: into three Karatsuba products where they fit and halving
+    the longer operand would split again, else into those two halves."""
     la, lb = a.bit_length(), b.bit_length()
     if min(la, lb) < FFT_MIN_BITS:
         return _mul_shift_xor(a, b)
     if la + lb - 1 > FFT_MAX_BITS:
         if la < lb:
-            a, b, la = b, a, lb
+            a, b, la, lb = b, a, lb, la
         half = la // 2
-        return mul(a & ((1 << half) - 1), b) ^ (mul(a >> half, b) << half)
+        low = (1 << half) - 1
+        if la - half + lb - 1 > FFT_MAX_BITS >= la - half + max(half, lb - half) - 1:
+            # (a0 + a1 x^h)(b0 + b1 x^h) = a0 b0 + (a0 b0 + a1 b1 + (a0 + a1)(b0 + b1)) x^h + a1 b1 x^2h
+            a0, a1, b0, b1 = a & low, a >> half, b & low, b >> half
+            p0, p2 = mul(a0, b0), mul(a1, b1)
+            return p0 ^ ((p0 ^ p2 ^ mul(a0 ^ a1, b0 ^ b1)) << half) ^ (p2 << 2 * half)
+        return mul(a & low, b) ^ (mul(a >> half, b) << half)
     return _mul_fft(a, b)
 
 
@@ -162,48 +175,63 @@ def x_pow_plus_one(n):
 def _minimal_poly_table(m):
     """Minimal polynomial of alpha^j in field(m) for every j in Z_n, as uint32 bitmasks.
 
-    The leaders of Z_n are read from `cyclotomic.leaders_of_z_n`, and
-    orbits[:, k] = leader * 2^k mod n. Each coset's product
-    prod (x - alpha^i) is expanded in GF(2^m)[x] with numpy over its row of
-    int32 exponents, all cosets of one size at a time. Only a coset C whose
-    leader is at most n - max(C), the leader of -C, is expanded; the
-    reversed masks fill the entries of -C.
+    Of each pair {C, -C} the coset whose leader e is at most n - max(C)
+    is computed. Bit 0 of alpha^(e k) is not always 0 (alpha^0 = 1), so
+    its least recurrence is the minimal polynomial M of alpha^e, reversed.
+    An M whose degree is not |C| or that misses alpha^e raises AssertionError.
     """
-    fld, n = field(m), (1 << m) - 1
+    antilog, n = field(m).antilog_table, (1 << m) - 1
     leaders = leaders_of_z_n(m)
     orbits = np.stack(list(rotations(leaders, m)), axis=1)
     orbits = orbits[leaders <= n - orbits.max(axis=1)]
+    exps = orbits[:, 0]
     # m doublings run round a coset of size d exactly m / d times
-    sizes = m // (orbits == orbits[:, :1]).sum(axis=1)
+    sizes = m // (orbits == exps[:, None]).sum(axis=1)
+    powers = antilog[np.arange(2 * m, dtype=np.int32)[:, None] * exps % n]  # powers[k] = alpha^(e k)
+    polys = _reversed(_berlekamp_massey(powers & 1), sizes)
+    # M(alpha^e): the xor of alpha^(e i) over the terms x^i of M
+    terms = (polys >> np.arange(m + 1)[:, None]) & 1
+    if np.any(polys >> sizes != 1) or np.bitwise_xor.reduce(powers[: m + 1] * terms, axis=0).any():
+        raise AssertionError(f"a Berlekamp-Massey row is not a minimal polynomial of GF(2^{m})")
     table = np.empty(n, dtype=np.uint32)
-    # the sizes that occur, each once; np.unique would import numpy.ma
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        exps = orbits[sizes == size, :size]
-        polys = _expand_roots(fld, exps)
-        shifts = np.arange(size + 1, dtype=np.uint32)
-        reversed_polys = np.bitwise_or.reduce(((polys[:, None] >> shifts) & 1) << shifts[::-1], axis=1)
-        for k in range(size):
-            table[exps[:, k]] = polys
-            table[(n - exps[:, k]) % n] = reversed_polys
+    table[orbits] = polys[:, None]
+    # row 0 is the coset {0}, its own negation
+    table[n - orbits[1:]] = _reversed(polys, sizes)[1:, None]
     return table
 
 
-def _expand_roots(fld, exps):
-    """Bitmasks of prod_k (x - alpha^exps[:, k]) for each row of int32
-    exponents; each product must lie in GF(2)[x]."""
-    antilog, log, n = fld.antilog_table, fld.log_table, fld.n
-    rows, size = exps.shape
-    coeffs = np.zeros((rows, size + 1), dtype=np.uint32)
-    coeffs[:, 0] = 1
-    for j in range(size):
-        low = coeffs[:, : j + 1].copy()
-        scaled = antilog[(log[low] + exps[:, j : j + 1]) % n]
-        scaled[low == 0] = 0
-        coeffs[:, : j + 1] = scaled
-        coeffs[:, 1 : j + 2] ^= low
-    if coeffs.max() > 1:
-        raise AssertionError(f"a coset product left GF(2) in GF(2^{fld.m})")
-    return np.bitwise_or.reduce(coeffs << np.arange(size + 1, dtype=np.uint32), axis=1)
+def _berlekamp_massey(bits):
+    """Berlekamp-Massey over many binary sequences at once: bits[k] holds
+    their terms s_k. Returns, as int64 bitmasks, the connection polynomial
+    C, C(0) = 1, of the shortest recurrence sum_i c_i s_(k-i) = 0 of each;
+    one of order L (below 32 here) is fixed by its first 2L terms. int64, as
+    in `mindist`'s transform, runs numpy loops already paged in."""
+    conn = np.ones(bits.shape[1], dtype=np.int64)
+    prev = conn.copy()  # C before the order last grew
+    order = np.zeros_like(conn)
+    gap = conn.copy()  # steps since the order last grew
+    window = np.zeros_like(conn)  # bit i = s_(k-i)
+    for k, terms in enumerate(bits):
+        window = (window << 1) | terms
+        wrong = np.bitwise_count(conn & window).astype(np.int64) & 1  # C misses s_k
+        grow = wrong & (2 * order <= k)
+        keep = grow - 1  # all ones where the order stays, zero where it grows
+        fixed = conn ^ ((prev << gap) & -wrong)
+        prev = (prev & keep) | (conn & ~keep)
+        order += grow * (k + 1 - 2 * order)
+        gap = ((gap + 1) & keep) | grow
+        conn = fixed
+    return conn
+
+
+def _reversed(polys, degrees):
+    """x^d p(1/x) for each p and its d in degrees: bit i of p moves
+    to bit d - i, and bits above d are dropped."""
+    top = int(degrees.max())
+    flipped = np.zeros_like(polys)
+    for i in range(top + 1):
+        flipped |= ((polys >> i) & 1) << (top - i)
+    return flipped >> (top - degrees)
 
 
 def minimal_poly(cs):
@@ -248,7 +276,12 @@ def product(polys):
 
 def generator_poly(T):
     """Product of the minimal polynomials of the cosets in T; deg = |T|."""
-    return product([minimal_poly(coset(leader, T.n)) for leader in T.coset_leaders()])
+    return _leaders_product(T.coset_leaders(), T.n)
+
+
+def _leaders_product(leaders, n):
+    """Product of the minimal polynomials of the cosets mod n with the given leaders."""
+    return product([minimal_poly(coset(leader, n)) for leader in leaders])
 
 
 class ClassPolys:
@@ -290,15 +323,19 @@ def class_polys(m, r):
     of field(m), where W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, as a
     ClassPolys; an empty class gives 1.
 
-    -W_c = W_{(m-c) mod r}, so of each pair of classes only the smaller
-    index is built and its partner is its reciprocal; a class that is its
-    own partner (2c = m mod r, only at even m) is built directly.
+    Doubling keeps w_2, so the coset leaders of W_c are the nonzero
+    leaders of Z_n of weight c mod r. -W_c = W_{(m-c) mod r}, so of each
+    pair of classes only the smaller index is built and its partner is its
+    reciprocal; a class that is its own partner (2c = m mod r, only at even
+    m) is built directly.
     """
+    leaders = leaders_of_z_n(m)[1:]
+    weights = np.bitwise_count(leaders) % r
     polys = [None] * r
-    for c, w in enumerate(weight_classes(m, r)):
+    for c in range(r):
         partner = (m - c) % r
         if c <= partner:
-            polys[c] = generator_poly(w)
+            polys[c] = _leaders_product(leaders[weights == c].tolist(), (1 << m) - 1)
             if partner != c:
                 polys[partner] = reciprocal(polys[c])
     return ClassPolys(m, polys)

@@ -19,7 +19,8 @@ from .bounds import best_certificate
 from .code import ExtendedCode
 
 ENUM_BUDGET_K = 24
-LOW_BITS = 12  # message bits per transform row
+LOW_BITS = 12  # message bits per transform row, at least
+MAX_LOW_BITS = 20  # at most, so a transform row holds at most 2^20 entries
 BLOCK_BITS = 16  # at most 2^16 messages per block
 PAIR_BLOCK_WORDS = 1 << 13  # uint64 words (64 KB) per block of row pairs, and per batch of trials, in the search
 ISD_MEMORY_BUDGET = 1 << 30  # bytes: packed generator rows and columns, a batch of permuted columns, one trial's rows
@@ -114,19 +115,22 @@ def _weight_blocks(c):
     """Yield (first message, weights of the next messages in order) over all
     2^k messages: wt(mG) = (n - sum_j (-1)^<m, col_j>) / 2 over the columns.
 
-    Messages m = (m_h << a) | l and columns split into a = min(k, LOW_BITS)
-    low bits and k - a high bits. Row m_h of a block gets V[l'] = sum over the
-    columns with low part l' of (-1)^popcount(m_h & high part), and the
-    transform of V gives the column sum for every l. The transform runs in
-    int16 when 2n < 2^15: its values lie in [-n, n], and the weights come
-    from n - v <= 2n.
+    Messages m = (m_h << a) | l and columns split into a low bits and k - a
+    high bits. Row m_h of a block gets V[l'] = sum over the columns with low
+    part l' of (-1)^popcount(m_h & high part), and the transform of V gives
+    the column sum for every l. Each row costs one pass over the n columns
+    and a transform of 2^a entries, so a grows with n:
+    a = min(k, max(LOW_BITS, min(bit length of n, MAX_LOW_BITS))). The cap
+    bounds a row, and each buffer of its transform, at 2^20 entries: 4 MB
+    in int32. The transform runs in int16 when 2n < 2^15: its values lie
+    in [-n, n], and the weights come from n - v <= 2n.
     """
     n, k = c.n, c.k
     if k < 1:
         raise ValueError("the zero code has no nonzero codeword")
     if k > ENUM_BUDGET_K:
         raise ValueError(f"k={k} exceeds the 2^{ENUM_BUDGET_K} enumeration budget; use bounded_min_distance")
-    a = min(k, LOW_BITS)
+    a = min(k, max(LOW_BITS, min(n.bit_length(), MAX_LOW_BITS)))
     cols = _generator_columns(c)[0].astype(np.int64)  # k <= 24: one word per column
     lo, hi = cols & ((1 << a) - 1), cols >> a
     # a power of two of rows, so at most 2^BLOCK_BITS signs unless one row has more

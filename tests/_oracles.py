@@ -1,11 +1,14 @@
 """Slow, obviously correct references that the tests check the library against."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
+from duadic import cyclotomic
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
-from duadic.cyclotomic import DefiningSet, WeightClassSpec, coset, defining_set, weight_classes
+from duadic.cyclotomic import DefiningSet, WeightClassSpec, coset, defining_set
+from duadic.gf2m import field
 from duadic.gf2poly import generator_poly, mod
 from duadic.pairs import _NO_VERDICT, THEOREM_LEMMA, TheoremVerdict
 
@@ -54,6 +57,12 @@ def matrix_product_is_zero(rows_a, rows_b):
     return all((ra & rb).bit_count() % 2 == 0 for ra in rows_a for rb in rows_b)
 
 
+def weight_classes(m, r):
+    """The classes W_c = {1 <= j <= n-1 : w_2(j) = c mod r} as DefiningSets, c in Z_r."""
+    n = (1 << m) - 1
+    return [from_indices(n, [j for j in range(1, n) if j.bit_count() % r == c]) for c in range(r)]
+
+
 def class_polys_direct(m, r):
     """Every class polynomial P_c, c in Z_r, of field(m) as the product of
     the minimal polynomials of its own cosets, without the pairing of W_c
@@ -61,11 +70,57 @@ def class_polys_direct(m, r):
     return tuple(generator_poly(w) for w in weight_classes(m, r))
 
 
+@lru_cache(maxsize=None)
+def log_table(fld):
+    """log[a] = e with alpha^e = a for each nonzero field element a, and
+    log[0] = -1: the inverse of the field's antilog table, as int32."""
+    log = np.full(fld.n + 1, -1, dtype=np.int32)
+    log[fld.antilog_table] = np.arange(fld.n, dtype=np.int32)
+    return log
+
+
 def field_mul(fld, a, b):
-    """The product of field elements a and b, read off the log/antilog tables."""
+    """The product of field elements a and b, read off the log and antilog tables."""
     if a == 0 or b == 0:
         return 0
-    return int(fld.antilog_table[(int(fld.log_table[a]) + int(fld.log_table[b])) % fld.n])
+    log = log_table(fld)
+    return int(fld.antilog_table[(int(log[a]) + int(log[b])) % fld.n])
+
+
+def expand_roots(fld, exps):
+    """Bitmasks of prod_k (x - alpha^exps[:, k]) for each row of int32
+    exponents, expanded in GF(2^m)[x] with numpy one root at a time; each
+    product must lie in GF(2)[x]."""
+    antilog, log, n = fld.antilog_table, log_table(fld), fld.n
+    rows, size = exps.shape
+    coeffs = np.zeros((rows, size + 1), dtype=np.uint32)
+    coeffs[:, 0] = 1
+    for j in range(size):
+        low = coeffs[:, : j + 1].copy()
+        scaled = antilog[(log[low] + exps[:, j : j + 1]) % n]
+        scaled[low == 0] = 0
+        coeffs[:, : j + 1] = scaled
+        coeffs[:, 1 : j + 2] ^= low
+    if coeffs.max() > 1:
+        raise AssertionError(f"a coset product left GF(2) in GF(2^{fld.m})")
+    return np.bitwise_or.reduce(coeffs << np.arange(size + 1, dtype=np.uint32), axis=1)
+
+
+def minimal_poly_table(m):
+    """The minimal polynomial of alpha^j for every j in Z_n, as uint32
+    bitmasks, by `expand_roots` over the orbit rows of all cosets of one
+    size at a time."""
+    fld, n = field(m), (1 << m) - 1
+    leaders = cyclotomic.leaders_of_z_n(m)
+    orbits = np.stack(list(cyclotomic.rotations(leaders, m)), axis=1)
+    sizes = m // (orbits == orbits[:, :1]).sum(axis=1)
+    table = np.zeros(n, dtype=np.uint32)
+    for size in set(sizes.tolist()):
+        exps = orbits[sizes == size, :size]
+        polys = expand_roots(fld, exps)
+        for k in range(size):
+            table[exps[:, k]] = polys
+    return table
 
 
 def evaluate(fld, p, x):
@@ -150,7 +205,7 @@ def eval_at_powers(fld, p, exponents=None):
     else:
         exponents = np.asarray(exponents, dtype=np.int64) % n
     antilog = fld.antilog_table
-    log = fld.log_table
+    log = log_table(fld)
     acc = np.zeros(len(exponents), dtype=np.uint32)
     for d in range(p.bit_length() - 1, -1, -1):
         nz = acc != 0

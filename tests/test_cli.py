@@ -257,15 +257,21 @@ def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
-def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
+def _count_class_products(monkeypatch):
+    """The list that each product of class leaders, `gf2poly._leaders_product`, appends its leaders to."""
     calls = []
-    generator_poly = gf2poly.generator_poly
+    leaders_product = gf2poly._leaders_product
 
-    def counted(T):
-        calls.append(T)
-        return generator_poly(T)
+    def counted(leaders, n):
+        calls.append(leaders)
+        return leaders_product(leaders, n)
 
-    monkeypatch.setattr(gf2poly, "generator_poly", counted)
+    monkeypatch.setattr(gf2poly, "_leaders_product", counted)
+    return calls
+
+
+def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
+    calls = _count_class_products(monkeypatch)
     code, payload, _ = run_json(capsys, "table", "-r", "16", "-S", "all", "-m", "9")
     assert code == 0 and len(payload["rows"]) == 256
     assert all(row["error"] is None for row in payload["rows"])
@@ -278,14 +284,7 @@ def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
 
 
 def test_mindist_builds_from_the_class_polynomials(capsys, monkeypatch):
-    calls = []
-    generator_poly = gf2poly.generator_poly
-
-    def counted(T):
-        calls.append(T)
-        return generator_poly(T)
-
-    monkeypatch.setattr(gf2poly, "generator_poly", counted)
+    calls = _count_class_products(monkeypatch)
     code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "9", "-S", "1", "--code", "dual")
     assert code == 0 and (payload["n"], payload["k"]) == (511, 255)
     # one per class pair {0, 1}: the dual's check polynomial comes from the same classes
@@ -334,6 +333,9 @@ GOLDEN_DIGESTS = [
      "bc54d162bc01800b9584ebdd67610b39ccb8047ee2ac347e41fee623f5a46e34"),
     ("mindist -r 12 -m 11 -S 0,2,3,4,5,6,7,8,9,11 --unchecked --code extended", "json",
      "307dee42db8c78b62b434c73c4be62d9e1cd639a062d732aadc43662f411ad0b"),
+    # a long code with small k, [131071, 18], recorded while the transform took 12 low message bits at every n
+    ("mindist -r 16 -m 17 -S 1,2,3,4,5,6,7,8,9,10,11,12,13,14,15 --unchecked", "json",
+     "1fa6dbc757277f04d517e13ffbe3a75a0c81df3301222c00ea7f555cad13368a"),
 ]
 
 

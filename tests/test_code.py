@@ -176,6 +176,16 @@ def test_extend_examples():
     assert min(w.bit_count() for w in _all_codewords_ext(e31) if w) == 8
 
 
+@pytest.mark.parametrize("m, r, s", [(3, 2, (1,)), (5, 2, (0,)), (9, 8, (0, 2, 3, 4))])
+def test_extended_membership_rejects_an_odd_overall_weight(m, r, s):
+    # the base part of each word is a codeword; only the parity coordinate tells them apart
+    e = extend(_code(r, m, s))
+    for word in (e.base.g, e.base.g ^ (e.base.g << 1), e.base.g << (e.base.n - e.base.g.bit_length())):
+        parity = word.bit_count() & 1
+        assert e.contains(word | parity << e.base.n)
+        assert not e.contains(word | (parity ^ 1) << e.base.n)
+
+
 def _all_codewords_ext(e):
     rows = generator_rows(e)
     words = [0]

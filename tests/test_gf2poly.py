@@ -26,7 +26,18 @@ from duadic.gf2poly import (
     x_pow_plus_one,
 )
 
-from _oracles import class_polys_direct, eval_at_powers, evaluate, field_mul, from_indices, from_leaders, members
+from _oracles import (
+    class_polys_direct,
+    eval_at_powers,
+    evaluate,
+    expand_roots,
+    field_mul,
+    from_indices,
+    from_leaders,
+    members,
+    minimal_poly_table,
+    weight_classes,
+)
 
 
 def test_mul_basics():
@@ -182,8 +193,8 @@ def test_hex_and_pretty():
 def _shift_xor(a, b):
     """Reference product: xor of b shifted by every set bit of a."""
     r = 0
-    for i in range(a.bit_length()):
-        if (a >> i) & 1:
+    for i, bit in enumerate(reversed(bin(a)[2:])):
+        if bit == "1":
             r ^= b << i
     return r
 
@@ -221,30 +232,44 @@ def test_mul_matches_shift_xor_for_unequal_lengths(a, b):
     assert mul(a, b) == _shift_xor(a, b) == mul(b, a)
 
 
+# with FFT_MAX_BITS = 256, pairs of 100..256 bits often take the three-product split
+_split_operands = st.one_of(_polys(600), _polys(256, min_bits=100))
+
+
 @settings(max_examples=60, deadline=None)
-@given(_polys(600), _polys(600))
+@given(_split_operands, _split_operands)
 def test_fft_and_split_paths_match_shift_xor(a, b):
-    # thresholds shrunk so that small operands take the FFT and split paths
+    # thresholds shrunk so that small operands take the FFT path and both split rules
     with mock.patch.object(gf2poly, "FFT_MIN_BITS", 8), mock.patch.object(gf2poly, "FFT_MAX_BITS", 256):
         assert mul(a, b) == _shift_xor(a, b)
     if a and b:
         assert gf2poly._mul_fft(a, b) == _shift_xor(a, b)
 
 
+def _sparse(bits, rng):
+    """A polynomial of exactly `bits` bits with 40 random terms, so shift-xor by it stays cheap."""
+    return sum(1 << rng.randrange(bits) for _ in range(40)) | 1 << (bits - 1)
+
+
 def test_a_product_of_fft_max_bits_takes_one_transform():
-    # 131329 x 130816 bits, the top product of the m = 19 class product tree,
-    # has exactly FFT_MAX_BITS bits; one bit more and the longer operand splits
     rng = random.Random(7)
-    la = 131329
-    lb = gf2poly.FFT_MAX_BITS + 1 - la
-    a = sum(1 << rng.randrange(la) for _ in range(40)) | 1 << (la - 1)  # sparse, so shift-xor stays cheap
-    b = rng.getrandbits(lb) | 1 << (lb - 1)
-    expected = _shift_xor(a, b)
-    for shift, transforms in ((0, 1), (1, 2)):
+    shapes = [
+        # the top product of the m = 19 class product tree has exactly FFT_MAX_BITS bits;
+        # one bit more and the longer operand splits into two products
+        (131329, gf2poly.FFT_MAX_BITS + 1 - 131329, 1),
+        (131330, gf2poly.FFT_MAX_BITS + 1 - 131329, 2),
+        # g * h at m = 19 and an equal-length pair: halving one operand would split again,
+        # and the three products of both operands cut at the same point each fit one transform
+        (262145, 262144, 3),
+        (262144, 262144, 3),
+    ]
+    for la, lb, transforms in shapes:
+        a, b = _sparse(la, rng), rng.getrandbits(lb) | 1 << (lb - 1)
         with mock.patch.object(gf2poly, "_mul_fft", wraps=gf2poly._mul_fft) as fft:
-            product = mul(a << shift, b)
+            product = mul(a, b)
         assert fft.call_count == transforms
-        assert product == expected << shift
+        assert all(x.bit_length() + y.bit_length() - 1 <= gf2poly.FFT_MAX_BITS for (x, y), _ in fft.call_args_list)
+        assert product == _shift_xor(a, b) == mul(b, a)
 
 
 def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
@@ -267,39 +292,75 @@ def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 14))
 def test_minimal_poly_table_matches_scalar_expansion(m):
-    # even m has self-paired cosets (C = -C)
+    # even m has self-paired cosets (C = -C) and cosets of subfields
     f = field(m)
     cosets = [coset(s, f.n) for s in DefiningSet.full(f.n).coset_leaders()]
-    with mock.patch.object(gf2poly, "_expand_roots", wraps=gf2poly._expand_roots) as expand:
+    with mock.patch.object(gf2poly, "_berlekamp_massey", wraps=gf2poly._berlekamp_massey) as bm:
         table = gf2poly._minimal_poly_table.__wrapped__(m)
     for cs in cosets:
         expected = _scalar_minimal_poly(f, cs.elements)
         assert minimal_poly(cs) == expected
         assert all(table[e] == expected for e in cs.elements)
-    # a coset is expanded unless it is the negation of one with a smaller leader
-    expanded = sum(cs.leader <= f.n - max(cs.elements) for cs in cosets)
-    assert sum(len(call.args[1]) for call in expand.call_args_list) == expanded
+    # one pass over bit 0 of alpha^(e k), k < 2m, for the leader e of each coset
+    # unless it is the negation of one with a smaller leader
+    kept = [cs.leader for cs in cosets if cs.leader <= f.n - max(cs.elements)]
+    assert bm.call_count == 1
+    (bits,), _ = bm.call_args
+    assert np.array_equal(bits, f.antilog_table[np.outer(np.arange(2 * m), kept) % f.n] & 1)
 
 
 @pytest.mark.parametrize("m", range(8, 13))
 def test_chunked_minimal_poly_table_matches_scalar_expansion(m):
-    # the table is expanded in chunks of equal-size cosets, one `_expand_roots`
-    # call per size, and each chunk also fills the entries of the negated cosets
+    # the reference for the table at every m, which expands the cosets of one size
+    # together, against the expansion one field operation at a time
     f = field(m)
     cosets = [coset(s, f.n) for s in DefiningSet.full(f.n).coset_leaders()]
     expected = np.empty(f.n, dtype=np.uint32)
     for cs in cosets:
         expected[list(cs.elements)] = _scalar_minimal_poly(f, cs.elements)
-    with mock.patch.object(gf2poly, "_expand_roots", wraps=gf2poly._expand_roots) as expand:
-        table = gf2poly._minimal_poly_table.__wrapped__(m)
-    assert table.tolist() == expected.tolist()
-    chunks = [call.args[1] for call in expand.call_args_list]
-    sizes = [chunk.shape[1] for chunk in chunks]
-    assert sorted(sizes) == sorted({cs.size for cs in cosets})
-    # the rows of a chunk are whole cosets, each expanded once, one of each pair {C, -C}
-    rows = [frozenset(row) for chunk in chunks for row in chunk.tolist()]
-    kept = {frozenset(cs.elements) for cs in cosets if cs.leader <= f.n - max(cs.elements)}
-    assert len(rows) == len(set(rows)) and set(rows) == kept
+    assert minimal_poly_table(m).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_minimal_poly_table_matches_the_root_expansion(m):
+    # entry for entry against prod (x - alpha^i) over each coset, expanded in GF(2^m)[x]
+    assert np.array_equal(gf2poly._minimal_poly_table.__wrapped__(m), minimal_poly_table(m))
+
+
+def _linear_complexity(seq):
+    """The least L for which some c_1..c_L give s_k = sum_i c_i s_(k-i) for every k >= L, by trial."""
+    for order in range(len(seq) + 1):
+        for conn in range(1, 2 << order, 2):
+            if all(sum((conn >> i & 1) * seq[k - i] for i in range(order + 1)) % 2 == 0 for k in range(order, len(seq))):
+                return order
+    raise AssertionError("unreachable: order len(seq) fits every sequence")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 1), min_size=10, max_size=10), min_size=1, max_size=6))
+def test_berlekamp_massey_finds_a_shortest_recurrence(seqs):
+    conns = gf2poly._berlekamp_massey(np.array(seqs, dtype=np.uint32).T).tolist()
+    for seq, conn in zip(seqs, conns):
+        order = _linear_complexity(seq)
+        assert conn & 1 and conn.bit_length() - 1 <= order
+        assert all(sum((conn >> i & 1) * seq[k - i] for i in range(order + 1)) % 2 == 0 for k in range(order, len(seq)))
+
+
+@pytest.mark.parametrize("fault", ["zero", "coefficient"])
+def test_minimal_poly_table_certificate_trips_on_a_perturbed_connection_polynomial(monkeypatch, fault):
+    # a zero row has every point as a root, so only the degree test trips on it;
+    # a flipped x^1 coefficient keeps the degree, so only the root test trips on it
+    real = gf2poly._berlekamp_massey
+
+    def perturbed(bits):
+        conn = real(bits)
+        row = len(conn) // 2
+        conn[row] = 0 if fault == "zero" else conn[row] ^ 0b10
+        return conn
+
+    monkeypatch.setattr(gf2poly, "_berlekamp_massey", perturbed)
+    with pytest.raises(AssertionError, match="not a minimal polynomial"):
+        gf2poly._minimal_poly_table.__wrapped__(9)
 
 
 def test_minimal_poly_table_is_kept_once_per_m():
@@ -319,16 +380,19 @@ def test_minimal_poly_table_is_kept_once_per_m():
 def test_class_polys_build_one_class_of_each_negation_pair(r):
     # m = 2..13 covers self-paired classes (2c = m mod r, even m) and empty ones (r > m)
     for m in range(2, 14):
-        with mock.patch.object(gf2poly, "generator_poly", wraps=gf2poly.generator_poly) as built:
+        with mock.patch.object(gf2poly, "_leaders_product", wraps=gf2poly._leaders_product) as built:
             found = gf2poly.class_polys(m, r)
         assert (found.m, found.r, found.polys) == (m, r, class_polys_direct(m, r))
-        assert built.call_count == len({min(c, (m - c) % r) for c in range(r)})
+        # the leaders masked by weight are those of W_c, for c the smaller of each pair {c, (m - c) mod r}
+        classes = weight_classes(m, r)
+        expected = [(classes[c].coset_leaders(), (1 << m) - 1) for c in range(r) if c <= (m - c) % r]
+        assert [call.args for call in built.call_args_list] == expected
 
 
 def test_expand_roots_keeps_zero_coefficients_zero():
     # (x + 1)^2 = x^2 + 1 has a zero coefficient, which the third factor must scale to zero
     rows = np.array([[0, 0, 0], [1, 2, 4]], dtype=np.int32)
-    assert gf2poly._expand_roots(field(3), rows).tolist() == [0b1111, 0xB]
+    assert expand_roots(field(3), rows).tolist() == [0b1111, 0xB]
 
 
 @pytest.mark.parametrize("elements", [(1, 2, 4, 3, 6, 5), (1, 2, 4, 1), (1, 2, 8), (8, 9, 11), (0, 0), ()])

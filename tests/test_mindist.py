@@ -109,6 +109,25 @@ def test_partitioned_scan_matches_single_pass():
         assert wd_split == wd_whole
 
 
+@pytest.mark.parametrize("low_bits, block_bits, max_low_bits, width", [
+    (12, 16, 20, 13),  # the constants: n > 2^LOW_BITS, so a row takes the 13 bits of n
+    (4, 6, 20, 13),
+    (16, 20, 20, 14),  # a = k, one transform row
+    (12, 16, 12, 12),  # the cap holds a below the bits of n
+    (4, 8, 6, 6),
+])
+def test_transform_width_follows_n(low_bits, block_bits, max_low_bits, width):
+    c = _code(12, 13, tuple(range(1, 12)), unchecked=True)  # [8191, 14]: W_0 is the 13 words of weight 12
+    assert (c.n, c.k) == (8191, 14)
+    d, witness, min_odd, counts = _gray_scan(tuple(generator_rows(c)), c.n)
+    with mock.patch.object(mindist, "MAX_LOW_BITS", max_low_bits), \
+            mock.patch.object(mindist, "_wht", wraps=mindist._wht) as wht:
+        blocks, found, wd = _results(c, low_bits, block_bits)
+    assert {call.args[0].shape[1] * call.args[0].shape[2] for call in wht.call_args_list} == {1 << width}
+    assert 3 * blocks == wht.call_count  # counted, then exact_min_distance and weight_distribution
+    assert found == (d, witness, min_odd) and list(wd.counts) == counts
+
+
 def test_worker_pool_determinism():
     # the result is the same on repeated calls and for every division of the
     # message space into (LOW_BITS, BLOCK_BITS) transform blocks
