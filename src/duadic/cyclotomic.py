@@ -34,13 +34,15 @@ def rotations(x, m):
 @lru_cache(maxsize=None)
 def leaders_of_z_n(m):
     """The coset leaders of Z_n, n = 2^m - 1, ascending, as a read-only
-    int32 array: the residues at most each of their m rotations. After
-    each rotation the residues that exceed it are dropped, so later
-    rotations run over fewer of them. Kept once per m for its three
-    readers: `DefiningSet.coset_leaders`, the minimal polynomial table
-    (`gf2poly._minimal_poly_table`) and the class leaders of
-    `gf2poly.class_polys`."""
-    leaders = rotated = np.arange((1 << m) - 1, dtype=np.int32)
+    int32 array: the residues at most each of their m rotations. The scan
+    starts from 0 and the odd residues, since an even j > 0 has j / 2 in
+    its coset. After each rotation the residues that exceed it are
+    dropped, so later rotations run over fewer of them. Kept once per m
+    for its three readers: `DefiningSet.coset_leaders`, the minimal
+    polynomial table (`gf2poly._minimal_poly_table`) and the class leaders
+    of `gf2poly.class_polys`."""
+    leaders = rotated = np.arange(-1, (1 << m) - 1, 2, dtype=np.int32)
+    leaders[0] = 0
     for _ in range(m - 1):
         rotated = _doubled(rotated, m)
         kept = leaders <= rotated
@@ -202,8 +204,8 @@ class WeightClassSpec:
 def _weight_class_bitmaps(m, r):
     """Bitmaps W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, one per class c."""
     n = (1 << m) - 1
-    j = np.arange(n, dtype=np.uint32)
-    w = (np.bitwise_count(j) % np.uint32(r)).astype(np.uint8)
+    w = np.bitwise_count(np.arange(n, dtype=np.uint32))
+    w %= np.uint8(r)
     masks = []
     for c in range(r):
         arr = w == c

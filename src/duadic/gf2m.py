@@ -74,20 +74,21 @@ def smallest_primitive_modulus(m):
 _HEAD = 256
 
 
-def _times_constant(c, v, modulus, m):
-    """c * v for a field element c and a uint32 array v of field elements.
+def _times_constant(c, v, modulus, m, out):
+    """Write c * v into out, for a field element c and uint32 arrays v and
+    out of field elements.
 
     Multiplying by c is GF(2)-linear, so the product is the xor, over the
     bytes of v, of a lookup in a 256-entry table per byte, built from the
-    images c * alpha^i of the basis elements alpha^i.
+    images c * alpha^i of the basis elements alpha^i. Each byte of v is
+    taken out as a uint8 index.
     """
-    out = np.zeros_like(v)
+    out.fill(0)
     for low in range(0, m, 8):
         table = np.zeros(256, dtype=np.uint32)
         for k in range(min(8, m - low)):
             table[1 << k : 2 << k] = table[: 1 << k] ^ _mulmod(c, 1 << (low + k), modulus, m)
-        out ^= table[(v >> low) & 0xFF]
-    return out
+        out ^= table[(v >> low).astype(np.uint8)]
 
 
 class GF2m:
@@ -98,8 +99,9 @@ class GF2m:
     takes a discrete log, so no log table is kept.
 
     The antilog table is filled one power at a time only for e < 256.
-    Then the filled prefix a[0:B] doubles: a[B:2B] = alpha^B * a[0:B], by
-    `_times_constant`, about log2(n / 256) numpy passes in all.
+    Then the filled prefix a[0:B] doubles: a[B:2B] = alpha^B * a[0:B],
+    written by `_times_constant` straight into the table, about
+    log2(n / 256) numpy passes in all.
     """
 
     __slots__ = ("m", "n", "modulus", "antilog_table")
@@ -120,7 +122,7 @@ class GF2m:
         # x = alpha^filled from here on
         while filled < self.n:
             step = min(filled, self.n - filled)
-            antilog[filled : filled + step] = _times_constant(x, antilog[:step], self.modulus, m)
+            _times_constant(x, antilog[:step], self.modulus, m, antilog[filled : filled + step])
             filled += step
             x = _mulmod(x, x, self.modulus, m)
         antilog.flags.writeable = False

@@ -40,12 +40,12 @@ polynomial costs O(n log^2 n) rather than O(n^2):
 - Above it, `mul` convolves the 0/1 coefficient vectors with a float64
   FFT, rounds, and reduces mod 2. numpy's transform holds about four
   buffers of the transform length at once, so a product of more than
-  FFT_MAX_BITS bits (la + lb - 1 for operands of la and lb bits) is split
-  first, and each FFT's buffers stay near 2 MB. The split halves the
-  longer operand, or, where those two products would split again but the
-  three Karatsuba products of both operands cut at the same point fit
-  (g * h = x^n + 1 at m = 19), forms these three instead of four.
-- The exact coefficients are integers below 2^18, far inside float64's
+  FFT_MAX_BITS = 2^17 bits (la + lb - 1 for operands of la and lb bits)
+  is split first, and each float64 buffer holds at most 1 MB. The one
+  split rule is Karatsuba's (Karatsuba and Ofman, 1962): both operands
+  are cut at half the longer one, into three products. When the shorter
+  operand has no high half, one of them is 0 and the split costs two.
+- The exact coefficients are integers below 2^17, far inside float64's
   exact range, and the transform's error is far below 1/2. That margin is
   measured, not proven, so the rounding guard requires every coefficient
   within ROUNDING_TOLERANCE of an integer and raises otherwise: a lost
@@ -53,7 +53,7 @@ polynomial costs O(n log^2 n) rather than O(n^2):
 """
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from ._bits import from_bool, to_bool
 from ._numpy import np
@@ -65,8 +65,9 @@ NEG_INF = float("-inf")
 # Smaller operand bit length from which `mul` uses the FFT.
 FFT_MIN_BITS = 1024
 
-# Longest product, in bits, that one FFT computes; a longer one is split.
-FFT_MAX_BITS = 1 << 18
+# Longest product, in bits, that one FFT computes, so each float64 buffer
+# holds at most 1 MB; a longer one is split.
+FFT_MAX_BITS = 1 << 17
 
 # Largest allowed distance of an FFT coefficient from the nearest integer.
 ROUNDING_TOLERANCE = 0.25
@@ -79,24 +80,20 @@ def degree(p):
 
 def mul(a, b):
     """Product in GF(2)[x]. Shift-xor when an operand is shorter than
-    FFT_MIN_BITS; otherwise FFT, after splitting until each product fits in
-    FFT_MAX_BITS: into three Karatsuba products where they fit and halving
-    the longer operand would split again, else into those two halves."""
+    FFT_MIN_BITS, one FFT when the product fits in FFT_MAX_BITS, else one
+    Karatsuba split at half the longer operand into three products."""
     la, lb = a.bit_length(), b.bit_length()
     if min(la, lb) < FFT_MIN_BITS:
         return _mul_shift_xor(a, b)
-    if la + lb - 1 > FFT_MAX_BITS:
-        if la < lb:
-            a, b, la, lb = b, a, lb, la
-        half = la // 2
-        low = (1 << half) - 1
-        if la - half + lb - 1 > FFT_MAX_BITS >= la - half + max(half, lb - half) - 1:
-            # (a0 + a1 x^h)(b0 + b1 x^h) = a0 b0 + (a0 b0 + a1 b1 + (a0 + a1)(b0 + b1)) x^h + a1 b1 x^2h
-            a0, a1, b0, b1 = a & low, a >> half, b & low, b >> half
-            p0, p2 = mul(a0, b0), mul(a1, b1)
-            return p0 ^ ((p0 ^ p2 ^ mul(a0 ^ a1, b0 ^ b1)) << half) ^ (p2 << 2 * half)
-        return mul(a & low, b) ^ (mul(a >> half, b) << half)
-    return _mul_fft(a, b)
+    if la + lb - 1 <= FFT_MAX_BITS:
+        return _mul_fft(a, b)
+    # (a0 + a1 x^h)(b0 + b1 x^h) = a0 b0 + (a0 b0 + a1 b1 + (a0 + a1)(b0 + b1)) x^h + a1 b1 x^2h;
+    # an operand of at most half bits has a zero high half: a1 b1 = 0 by shift-xor, and the split costs two
+    half = max(la, lb) // 2
+    low = (1 << half) - 1
+    a0, a1, b0, b1 = a & low, a >> half, b & low, b >> half
+    p0, p2 = mul(a0, b0), mul(a1, b1)
+    return p0 ^ ((p0 ^ p2 ^ mul(a0 ^ a1, b0 ^ b1)) << half) ^ (p2 << 2 * half)
 
 
 def _mul_shift_xor(a, b):
@@ -182,21 +179,29 @@ def _minimal_poly_table(m):
     """
     antilog, n = field(m).antilog_table, (1 << m) - 1
     leaders = leaders_of_z_n(m)
-    orbits = np.stack(list(rotations(leaders, m)), axis=1)
-    orbits = orbits[leaders <= n - orbits.max(axis=1)]
-    exps = orbits[:, 0]
+    exps = leaders[leaders <= n - reduce(np.maximum, rotations(leaders, m))]
+    orbits = np.empty((len(exps), m), dtype=np.int32)
+    for k, x in enumerate(rotations(exps, m)):
+        orbits[:, k] = x
     # m doublings run round a coset of size d exactly m / d times
     sizes = m // (orbits == exps[:, None]).sum(axis=1)
-    powers = antilog[np.arange(2 * m, dtype=np.int32)[:, None] * exps % n]  # powers[k] = alpha^(e k)
+    powers = np.empty((2 * m, len(exps)), dtype=np.uint32)  # powers[k] = alpha^(e k)
+    e_k = np.zeros_like(exps)
+    for row in powers:
+        np.take(antilog, e_k, out=row)
+        e_k += exps
+        e_k[e_k >= n] -= n
     polys = _reversed(_berlekamp_massey(powers & 1), sizes)
     # M(alpha^e): the xor of alpha^(e i) over the terms x^i of M
-    terms = (polys >> np.arange(m + 1)[:, None]) & 1
-    if np.any(polys >> sizes != 1) or np.bitwise_xor.reduce(powers[: m + 1] * terms, axis=0).any():
+    root = np.zeros_like(powers[0])
+    for i, row in enumerate(powers[: m + 1]):
+        root ^= np.where(polys >> i & 1, row, 0)
+    if np.any(polys >> sizes != 1) or root.any():
         raise AssertionError(f"a Berlekamp-Massey row is not a minimal polynomial of GF(2^{m})")
     table = np.empty(n, dtype=np.uint32)
     table[orbits] = polys[:, None]
     # row 0 is the coset {0}, its own negation
-    table[n - orbits[1:]] = _reversed(polys, sizes)[1:, None]
+    table[np.subtract(n, orbits, out=orbits)[1:]] = _reversed(polys, sizes)[1:, None]
     return table
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duadic import gf2poly
+from duadic import cli, gf2poly
 from duadic.code import (
     CyclicCode,
     dual,
@@ -109,6 +109,38 @@ def test_class_route_check_polynomial_is_verified():
     c = from_class_polys(spec, class_polys(spec.m, spec.r))
     with pytest.raises(AssertionError, match="x\\^n \\+ 1"):
         dual(replace(c, h=c.h ^ 0b10))
+
+
+def test_class_route_generator_degree_guard_trips_on_a_wrong_class_polynomial(monkeypatch):
+    # P_1 times x: g = x P_1 has one degree more than |T|
+    spec = WeightClassSpec(r=2, m=7, S=(1,))
+    polys = class_polys(spec.m, spec.r)
+    wrong = ClassPolys(spec.m, (polys.polys[0], polys.polys[1] << 1))
+    message = "generator degree disagrees with the defining set"
+    with pytest.raises(AssertionError, match=message):
+        from_class_polys(spec, wrong)
+    monkeypatch.setattr(gf2poly, "class_polys", lambda m, r: wrong)
+    with pytest.raises(AssertionError, match=message):
+        cli.main(["construct", "-r", "2", "-m", "7", "-S", "1"])  # raises out of main: the process exits 1
+
+
+def test_dual_generator_degree_guard_trips_on_a_defining_set_of_another_size(monkeypatch):
+    # g * h is still x^n + 1, so only the degree guard can fire: T u {0} has one residue more
+    spec = WeightClassSpec(r=2, m=7, S=(1,))
+    c = from_class_polys(spec, class_polys(spec.m, spec.r))
+    message = "dual generator degree disagrees with dual defining set"
+    with pytest.raises(AssertionError, match=message):
+        dual(replace(c, T=c.T.with_zero()))
+    real = cli.from_class_polys
+
+    def widened(*args):
+        code = real(*args)
+        return replace(code, T=code.T.with_zero())
+
+    monkeypatch.setattr(cli, "from_class_polys", widened)
+    for argv in (["construct"], ["mindist", "--code", "dual"]):
+        with pytest.raises(AssertionError, match=message):
+            cli.main([*argv, "-r", "2", "-m", "7", "-S", "1"])  # raises out of main: the process exits 1
 
 
 @pytest.mark.parametrize("m,r", [(11, 8), (9, 4), (9, 16), (7, 8)])

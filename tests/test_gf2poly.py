@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -232,14 +233,16 @@ def test_mul_matches_shift_xor_for_unequal_lengths(a, b):
     assert mul(a, b) == _shift_xor(a, b) == mul(b, a)
 
 
-# with FFT_MAX_BITS = 256, pairs of 100..256 bits often take the three-product split
+# with FFT_MAX_BITS = 256, pairs of 100..600 bits take the Karatsuba split, a longer and a
+# shorter operand with b1 = 0 among them, and pairs of 256 bits or more split again
 _split_operands = st.one_of(_polys(600), _polys(256, min_bits=100))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_split_operands, _split_operands)
 def test_fft_and_split_paths_match_shift_xor(a, b):
-    # thresholds shrunk so that small operands take the FFT path and both split rules
+    # thresholds shrunk so that small operands take the FFT path and the one split rule:
+    # both operands cut at half the longer one, into three products
     with mock.patch.object(gf2poly, "FFT_MIN_BITS", 8), mock.patch.object(gf2poly, "FFT_MAX_BITS", 256):
         assert mul(a, b) == _shift_xor(a, b)
     if a and b:
@@ -254,22 +257,55 @@ def _sparse(bits, rng):
 def test_a_product_of_fft_max_bits_takes_one_transform():
     rng = random.Random(7)
     shapes = [
-        # the top product of the m = 19 class product tree has exactly FFT_MAX_BITS bits;
-        # one bit more and the longer operand splits into two products
-        (131329, gf2poly.FFT_MAX_BITS + 1 - 131329, 1),
-        (131330, gf2poly.FFT_MAX_BITS + 1 - 131329, 2),
-        # g * h at m = 19 and an equal-length pair: halving one operand would split again,
-        # and the three products of both operands cut at the same point each fit one transform
-        (262145, 262144, 3),
-        (262144, 262144, 3),
+        # a product of exactly FFT_MAX_BITS bits fits one transform
+        (gf2poly.FFT_MAX_BITS + 1 - 2000, 2000, 1),
+        # the top product of the m = 19 class product tree: two of its three halves' products
+        # are 255 and 256 bits over the bound and split again
+        (131329, 130816, 7),
+        # g * h at m = 19: three products of three
+        (262145, 262144, 9),
+        # a shorter operand with no high half: b1 = 0, so a1 * b1 is 0 by shift-xor and the
+        # split costs two products, each split again once
+        (400000, 3000, 4),
     ]
     for la, lb, transforms in shapes:
-        a, b = _sparse(la, rng), rng.getrandbits(lb) | 1 << (lb - 1)
+        # the bit below the cut gives the low half of the sparse operand its full length, as in a dense one
+        a, b = _sparse(la, rng) | 1 << (max(la, lb) // 2 - 1), rng.getrandbits(lb) | 1 << (lb - 1)
         with mock.patch.object(gf2poly, "_mul_fft", wraps=gf2poly._mul_fft) as fft:
             product = mul(a, b)
         assert fft.call_count == transforms
         assert all(x.bit_length() + y.bit_length() - 1 <= gf2poly.FFT_MAX_BITS for (x, y), _ in fft.call_args_list)
         assert product == _shift_xor(a, b) == mul(b, a)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_split_product_peaks_near_one_transform():
+    # 2 * FFT_MAX_BITS bits: three transforms of FFT_MAX_BITS, one at a time, whose float64
+    # buffers hold 1 MB each; one transform of 2^18 bits traced 6.3 MB
+    rng = random.Random(3)
+    half = gf2poly.FFT_MAX_BITS
+    a, b = rng.getrandbits(half) | 1 << (half - 1), rng.getrandbits(half + 1) | 1 << half
+    assert _traced_peak(mul, a, b) < 3.5e6
+
+
+@pytest.mark.parametrize(("build", "bound"), [(cyclotomic.leaders_of_z_n, 2.5), (gf2poly._minimal_poly_table, 4.0)])
+def test_field_setup_peaks_below_a_few_times_the_antilog_table(build, bound):
+    # in multiples of 4n bytes, one int32 array over Z_n, at m = 16: the leader scan over 0
+    # and the odd residues peaks at 2.0 (4.0 over all of Z_n), and the table, which keeps
+    # 1.0, at 3.5 (4.7 with a stacked list of orbits and an (m + 1) x L certificate matrix)
+    m = 16
+    field(m), cyclotomic.leaders_of_z_n(m)  # the table's inputs, held before the trace
+    assert _traced_peak(build.__wrapped__, m) < bound * 4 * ((1 << m) - 1)
 
 
 def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):

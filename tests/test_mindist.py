@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import combinations, islice
 from operator import xor
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duadic import mindist
+from duadic import cli, mindist
 from duadic._bits import from_bool, to_bool
 from duadic.code import dual, extend, from_defining_set
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
@@ -564,3 +564,35 @@ def test_certified_bound_validation():
     # exactness is read off the interval, never stored beside it
     assert not CertifiedBound(lower=2, upper=3, witness=0b111, method="x").exact
     assert CertifiedBound(lower=3, upper=3, witness=0b111, method="x").exact
+
+
+_MINDIST_ARGV = ["mindist", "-r", "2", "-m", "7", "-S", "1", "--seed", "1"]  # [127, 64]: searched, not enumerated
+
+
+def test_witness_membership_guard_trips_on_a_permuted_support(monkeypatch):
+    # each trial's support is read through a permutation rotated by one, so the word it
+    # builds is not a codeword, while its weight is the true word's and beats wt(g)
+    real = mindist._reduced_trials
+
+    def rotated(*args):
+        for perm, pivots, rest, parts in real(*args):
+            yield np.roll(perm, 1), pivots, rest, parts
+
+    monkeypatch.setattr(mindist, "_reduced_trials", rotated)
+    message = "information-set witness failed codeword verification"
+    with pytest.raises(AssertionError, match=message):
+        bounded_min_distance(_code(2, 7, (1,)), effort=3, seed=1)
+    with pytest.raises(AssertionError, match=message):
+        cli.main([*_MINDIST_ARGV, "--effort", "3"])  # raises out of main: the process exits 1
+
+
+def test_below_bch_guard_trips_on_a_certificate_above_the_generator_weight(monkeypatch):
+    # at effort 0 the witness is g itself; a certificate claiming d >= wt(g) + 1 contradicts it
+    c = _code(2, 7, (1,))
+    real = mindist.best_certificate
+    monkeypatch.setattr(mindist, "best_certificate", lambda *args: replace(real(*args), d_lower=c.g.bit_count() + 1))
+    message = "found a codeword below the BCH lower bound"
+    with pytest.raises(AssertionError, match=message):
+        bounded_min_distance(c, effort=0)
+    with pytest.raises(AssertionError, match=message):
+        cli.main([*_MINDIST_ARGV, "--effort", "0"])  # raises out of main: the process exits 1

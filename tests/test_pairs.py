@@ -3,7 +3,10 @@ from itertools import combinations
 import pytest
 
 from duadic.bounds import LEMMA_IDS, HypothesisError, check_lemma_hypotheses
+from duadic.code import dual, extend, from_class_polys
 from duadic.cyclotomic import WeightClassSpec, defining_set
+from duadic.gf2poly import class_polys
+from duadic.mindist import bounded_min_distance
 from duadic.pairs import (
     R8_REFERENCE_SETS,
     classify,
@@ -256,3 +259,20 @@ def test_reflection_test_vs_bitmap_negation():
                     assert bitmap_split
                 if r < m:
                     assert is_duadic(spec) == bitmap_split
+
+
+@pytest.mark.parametrize("r", [2, 4, 8, 16])
+def test_theorem_bounds_stay_at_or_below_verified_witnesses(r):
+    # the first four catalog specs at m = 7 (r = 2 has two), each classified: the predicted
+    # primal, dual and extended bounds against seeded search witnesses that are codewords;
+    # the tightest is r = 4: bound 11, witness 15
+    polys = class_polys(7, r)
+    for s in enumerate_catalog(r, 7 % r)[:4]:
+        spec = WeightClassSpec(r=r, m=7, S=s)
+        verdict = classify(spec)
+        assert verdict.theorem != "none"
+        c = from_class_polys(spec, polys)
+        for bound, code in ((verdict.d_lower, c), (verdict.d_dual_lower, dual(c)), (verdict.d_ext_lower, extend(c))):
+            found = bounded_min_distance(code, effort=10, seed=1)
+            assert code.contains(found.witness) and found.witness.bit_count() == found.upper
+            assert bound <= found.upper, (s, code.n, code.k)
