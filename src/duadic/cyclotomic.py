@@ -8,7 +8,7 @@ bitmap.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from ._bits import from_bool as _bool_to_bits
 from ._bits import to_bool as _bits_to_bool
@@ -37,10 +37,10 @@ def leaders_of_z_n(m):
     int32 array: the residues at most each of their m rotations. The scan
     starts from 0 and the odd residues, since an even j > 0 has j / 2 in
     its coset. After each rotation the residues that exceed it are
-    dropped, so later rotations run over fewer of them. Kept once per m
-    for its three readers: `DefiningSet.coset_leaders`, the minimal
-    polynomial table (`gf2poly._minimal_poly_table`) and the class leaders
-    of `gf2poly.class_polys`."""
+    dropped, so later rotations run over fewer of them. Kept once per m.
+    `DefiningSet.coset_leaders` and `gf2poly.class_polys` take masks of
+    it, by membership and by weight, and `gf2poly._minimal_poly_table`
+    writes its entries at these residues."""
     leaders = rotated = np.arange(-1, (1 << m) - 1, 2, dtype=np.int32)
     leaders[0] = 0
     for _ in range(m - 1):
@@ -131,17 +131,14 @@ class DefiningSet:
         return bool(arr[(2 * idx) % self.n].all())
 
     def coset_leaders(self):
-        """Leaders of the cosets making up this set, ascending.
+        """Leaders of the cosets making up this set, ascending, for a set
+        closed under doubling: the leaders of Z_n that lie in the set.
 
-        For each leader of Z_n, the minimum over its m rotations that lie
-        in the set, so the leader of an orbit is its smallest member in
-        the set, whether or not the set is closed under doubling.
+        A set that doubling does not close gets its members that are
+        leaders of Z_n, which need not name its cosets.
         """
-        arr = self.bool_array()
-        outside = np.int32(self.n)
-        m = self.n.bit_length()
-        best = reduce(np.minimum, (np.where(arr[x], x, outside) for x in rotations(leaders_of_z_n(m), m)))
-        return np.sort(best[best < outside]).tolist()
+        leaders = leaders_of_z_n(self.n.bit_length())
+        return leaders[self.bool_array()[leaders]].tolist()
 
 
 def check_r(r):

@@ -70,10 +70,6 @@ def smallest_primitive_modulus(m):
     raise AssertionError(f"no primitive polynomial of degree {m}")  # unreachable
 
 
-# Exponents the antilog table fills one at a time before it starts doubling.
-_HEAD = 256
-
-
 def _times_constant(c, v, modulus, m, out):
     """Write c * v into out, for a field element c and uint32 arrays v and
     out of field elements.
@@ -98,10 +94,9 @@ class GF2m:
     numpy array, so an instance is safe for concurrent reads. No command
     takes a discrete log, so no log table is kept.
 
-    The antilog table is filled one power at a time only for e < 256.
-    Then the filled prefix a[0:B] doubles: a[B:2B] = alpha^B * a[0:B],
-    written by `_times_constant` straight into the table, about
-    log2(n / 256) numpy passes in all.
+    The antilog table starts from a[0] = 1, and the filled prefix a[0:B]
+    doubles: a[B:2B] = alpha^B * a[0:B], written by `_times_constant`
+    straight into the table, ceil(log2 n) = m numpy passes in all.
     """
 
     __slots__ = ("m", "n", "modulus", "antilog_table")
@@ -111,15 +106,8 @@ class GF2m:
         self.m = m
         self.n = (1 << m) - 1
         antilog = np.empty(self.n, dtype=np.uint32)
-        filled = min(self.n, _HEAD)
-        x = 1
-        top = 1 << m
-        for e in range(filled):
-            antilog[e] = x
-            x <<= 1
-            if x & top:
-                x ^= self.modulus
-        # x = alpha^filled from here on
+        antilog[0] = 1
+        filled, x = 1, 2  # x = alpha^filled from here on
         while filled < self.n:
             step = min(filled, self.n - filled)
             _times_constant(x, antilog[:step], self.modulus, m, antilog[filled : filled + step])

@@ -11,9 +11,11 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   {C, -C}, one vectorised Berlekamp-Massey pass (Massey, IEEE Trans. IT
   15, 1969) over the 2m bits s_k = bit 0 of alpha^(e k) gives the
   minimal polynomial of alpha^(-e), and its reversal is that of
-  alpha^e. Each row is certified by its degree and a root. The leader
-  array is kept per m (`cyclotomic.leaders_of_z_n`) and shared with
-  `DefiningSet.coset_leaders` and `class_polys`.
+  alpha^e. Each row is certified by its degree and a root. The table
+  holds each polynomial once, at its coset's leader, and 0 elsewhere.
+  The leader array is kept per m (`cyclotomic.leaders_of_z_n`);
+  `DefiningSet.coset_leaders` and `class_polys` take their leaders off
+  it by mask.
 - `generator_poly(T)` multiplies the minimal polynomials of the cosets
   of T, each read by `minimal_poly(cs)`, through a balanced product tree.
 - The code of a weight-class spec (r, m, S) needs no per-coset product.
@@ -170,21 +172,23 @@ def x_pow_plus_one(n):
 
 @lru_cache(maxsize=None)
 def _minimal_poly_table(m):
-    """Minimal polynomial of alpha^j in field(m) for every j in Z_n, as uint32 bitmasks.
+    """Minimal polynomial of the cosets of field(m), as an n-entry uint32
+    table of bitmasks: the entry at a coset leader j is the minimal
+    polynomial of alpha^j, and every other entry is 0.
 
     Of each pair {C, -C} the coset whose leader e is at most n - max(C)
     is computed. Bit 0 of alpha^(e k) is not always 0 (alpha^0 = 1), so
     its least recurrence is the minimal polynomial M of alpha^e, reversed.
     An M whose degree is not |C| or that misses alpha^e raises AssertionError.
+    The reversed M goes to n - max(C), the leader of -C.
     """
     antilog, n = field(m).antilog_table, (1 << m) - 1
     leaders = leaders_of_z_n(m)
-    exps = leaders[leaders <= n - reduce(np.maximum, rotations(leaders, m))]
-    orbits = np.empty((len(exps), m), dtype=np.int32)
-    for k, x in enumerate(rotations(exps, m)):
-        orbits[:, k] = x
+    top = reduce(np.maximum, rotations(leaders, m))
+    half = leaders <= n - top
+    exps = leaders[half]
     # m doublings run round a coset of size d exactly m / d times
-    sizes = m // (orbits == exps[:, None]).sum(axis=1)
+    sizes = m // sum(x == exps for x in rotations(exps, m))
     powers = np.empty((2 * m, len(exps)), dtype=np.uint32)  # powers[k] = alpha^(e k)
     e_k = np.zeros_like(exps)
     for row in powers:
@@ -198,10 +202,10 @@ def _minimal_poly_table(m):
         root ^= np.where(polys >> i & 1, row, 0)
     if np.any(polys >> sizes != 1) or root.any():
         raise AssertionError(f"a Berlekamp-Massey row is not a minimal polynomial of GF(2^{m})")
-    table = np.empty(n, dtype=np.uint32)
-    table[orbits] = polys[:, None]
+    table = np.zeros(n, dtype=np.uint32)
+    table[exps] = polys
     # row 0 is the coset {0}, its own negation
-    table[np.subtract(n, orbits, out=orbits)[1:]] = _reversed(polys, sizes)[1:, None]
+    table[n - top[half][1:]] = _reversed(polys, sizes)[1:]
     return table
 
 
@@ -243,16 +247,17 @@ def minimal_poly(cs):
     """prod_{i in cs} (x - alpha^i) for a 2-cyclotomic coset cs mod
     n = 2^m - 1, alpha the primitive element of field(m).
 
-    Read from the field's table of minimal polynomials. An n that is not
-    2^m - 1 is rejected, and so is a cs that is not one whole orbit under
-    doubling mod n: a set that doubling does not map onto itself, or that
-    is larger than the orbit of its first element.
+    Read from the field's table of minimal polynomials at the least
+    member of cs, its leader, in whatever order cs lists its elements. An
+    n that is not 2^m - 1 is rejected, and so is a cs that is not one
+    whole orbit under doubling mod n: a set that doubling does not map
+    onto itself, or that is larger than the orbit of its least member.
     """
     n = cs.n
     if n & (n + 1):
         raise ValueError(f"coset mod {n}: n is not 2^m - 1")
     members = set(cs.elements)
-    p = _minimal_poly_table(n.bit_length()).item(cs.elements[0] % n) if members else 0
+    p = _minimal_poly_table(n.bit_length()).item(min(members) % n) if members else 0
     if len(cs.elements) != p.bit_length() - 1 or {2 * e % n for e in members} != members:
         raise ValueError(f"coset {cs.elements} is not a doubling orbit mod {n}")
     return p

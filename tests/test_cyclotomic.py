@@ -185,21 +185,26 @@ def _scalar_coset_leaders(t):
 
 
 @st.composite
-def _subsets(draw, max_m):
+def _subsets(draw, max_m, closed):
     m = draw(st.integers(2, max_m))
     n = (1 << m) - 1
     members = draw(st.lists(st.integers(0, n - 1), max_size=n))
-    closed = draw(st.booleans())
     if closed:
         members = [e for s in members for e in coset(s, n).elements]
     return from_indices(n, members)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_subsets(11))
+@given(_subsets(11, closed=True))
 def test_coset_leaders_match_orbit_walk(t):
-    # doubling-closed sets and arbitrary ones alike
     assert t.coset_leaders() == _scalar_coset_leaders(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_subsets(11, closed=False))
+def test_coset_leaders_of_any_set_are_its_members_that_lead_their_orbit(t):
+    # the contract outside doubling-closed sets: the set's members that are leaders of Z_n
+    assert t.coset_leaders() == [s for s in members(t) if coset(s, t.n).leader == s]
 
 
 @settings(max_examples=50, deadline=None)

@@ -104,11 +104,11 @@ def test_antilog_table_follows_the_recurrence(m):
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_doubling_fill_equals_the_power_by_power_loop(m):
-    # 256 powers one at a time, then one `_times_constant` pass per doubling
+    # from alpha^0 alone, one `_times_constant` pass per doubling of the filled prefix, at every m
     with mock.patch.object(gf2m, "_times_constant", wraps=gf2m._times_constant) as times:
         f = GF2m(m)
     assert np.array_equal(f.antilog_table, antilog_table(m, f.modulus))
-    assert times.call_count == max(0, math.ceil(math.log2(f.n / 256)))
+    assert times.call_count == math.ceil(math.log2(f.n)) == m
 
 
 _elements = st.integers(2, 20).flatmap(

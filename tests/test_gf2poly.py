@@ -298,11 +298,11 @@ def test_a_split_product_peaks_near_one_transform():
     assert _traced_peak(mul, a, b) < 3.5e6
 
 
-@pytest.mark.parametrize(("build", "bound"), [(cyclotomic.leaders_of_z_n, 2.5), (gf2poly._minimal_poly_table, 4.0)])
+@pytest.mark.parametrize(("build", "bound"), [(cyclotomic.leaders_of_z_n, 2.5), (gf2poly._minimal_poly_table, 3.2)])
 def test_field_setup_peaks_below_a_few_times_the_antilog_table(build, bound):
     # in multiples of 4n bytes, one int32 array over Z_n, at m = 16: the leader scan over 0
     # and the odd residues peaks at 2.0 (4.0 over all of Z_n), and the table, which keeps
-    # 1.0, at 3.5 (4.7 with a stacked list of orbits and an (m + 1) x L certificate matrix)
+    # 1.0 and writes only at the leaders, at 3.0
     m = 16
     field(m), cyclotomic.leaders_of_z_n(m)  # the table's inputs, held before the trace
     assert _traced_peak(build.__wrapped__, m) < bound * 4 * ((1 << m) - 1)
@@ -336,7 +336,9 @@ def test_minimal_poly_table_matches_scalar_expansion(m):
     for cs in cosets:
         expected = _scalar_minimal_poly(f, cs.elements)
         assert minimal_poly(cs) == expected
-        assert all(table[e] == expected for e in cs.elements)
+        assert table[cs.leader] == expected
+    # each polynomial is kept once, at its coset's leader
+    assert np.count_nonzero(table) == len(cosets)
     # one pass over bit 0 of alpha^(e k), k < 2m, for the leader e of each coset
     # unless it is the negation of one with a smaller leader
     kept = [cs.leader for cs in cosets if cs.leader <= f.n - max(cs.elements)]
@@ -359,8 +361,23 @@ def test_chunked_minimal_poly_table_matches_scalar_expansion(m):
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_minimal_poly_table_matches_the_root_expansion(m):
-    # entry for entry against prod (x - alpha^i) over each coset, expanded in GF(2^m)[x]
-    assert np.array_equal(gf2poly._minimal_poly_table.__wrapped__(m), minimal_poly_table(m))
+    # at every leader against prod (x - alpha^i) over its coset, expanded in GF(2^m)[x]; 0 elsewhere
+    table, leaders = gf2poly._minimal_poly_table.__wrapped__(m), cyclotomic.leaders_of_z_n(m)
+    assert np.array_equal(table[leaders], minimal_poly_table(m)[leaders])
+    table[leaders] = 0
+    assert not table.any()
+
+
+@pytest.mark.parametrize("m", [3, 8, 9])
+def test_minimal_poly_reads_a_coset_listed_in_any_order(m):
+    # the table holds each polynomial at the least member alone, wherever a coset lists it
+    f = field(m)
+    oracle = minimal_poly_table(m)
+    for s in DefiningSet.full(f.n).coset_leaders():
+        orbit = coset(s, f.n).elements
+        for elements in (orbit[::-1], orbit[1:] + orbit[:1]):
+            unsorted = CyclotomicCoset(n=f.n, leader=elements[0], elements=elements)
+            assert minimal_poly(unsorted) == oracle[s]
 
 
 def _linear_complexity(seq):
