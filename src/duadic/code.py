@@ -35,10 +35,16 @@ class CyclicCode:
         return self.g << i
 
     def contains(self, word):
-        """Membership: word(x) is a multiple of g(x)."""
+        """Membership: word(x) is q(x) g(x) for some q, found by
+        multiplication. A codeword c = q g, deg q < k, has
+        c h = q (x^n + 1) = q x^n + q, so q is c h >> n, and only the bits of c
+        at n - k and above reach x^n: q = (c >> (n - k)) h >> k. The answer is
+        whether q g is the word, which rests on g alone: a wrong h can only
+        reject a codeword, never accept a non-codeword."""
         if word >> self.n:
             raise ValueError("word longer than the code length")
-        return gf2poly.mod(word, self.g) == 0
+        q = gf2poly.mul(word >> (self.n - self.k), self.h) >> self.k
+        return gf2poly.mul(q, self.g) == word
 
 
 @dataclass(frozen=True)

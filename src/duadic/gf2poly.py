@@ -52,6 +52,8 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   measured, not proven, so the rounding guard requires every coefficient
   within ROUNDING_TOLERANCE of an integer and raises otherwise: a lost
   digit fails loudly instead of returning a wrong product.
+- No command divides: membership is two products (`CyclicCode.contains`).
+  `check_poly`, which no command calls, holds the package's only division.
 """
 
 from bisect import bisect_left
@@ -139,23 +141,6 @@ def _mul_fft(a, b):
     if not worst < ROUNDING_TOLERANCE:
         raise ArithmeticError(f"FFT product lost precision: a coefficient was {worst:.3g} from an integer")
     return from_bool((exact.astype(np.int32) & 1).astype(bool))
-
-
-def divmod_(a, b):
-    """Quotient and remainder of a by b, deg(rem) < deg(b)."""
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    db = b.bit_length() - 1
-    q = 0
-    while a and a.bit_length() - 1 >= db:
-        shift = a.bit_length() - 1 - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def mod(a, b):
-    return divmod_(a, b)[1]
 
 
 def reciprocal(p):
@@ -352,11 +337,17 @@ def class_polys(m, r):
 
 
 def check_poly(g, n):
-    """h with g*h = x^n + 1; rejects non-divisors."""
-    q, rem = divmod_(x_pow_plus_one(n), g)
+    """h with g*h = x^n + 1, by bit-by-bit long division, the package's only
+    division: quadratic, and called by no command. Rejects a g that does not
+    divide x^n + 1, the zero polynomial included."""
+    rem, h, top = x_pow_plus_one(n), 0, g.bit_length()
+    while top and rem.bit_length() >= top:
+        shift = rem.bit_length() - top
+        h |= 1 << shift
+        rem ^= g << shift
     if rem:
         raise ValueError("generator polynomial does not divide x^n + 1")
-    return q
+    return h
 
 
 def to_hex(p):

@@ -9,7 +9,7 @@ from duadic import cyclotomic
 from duadic.bounds import BchCertificate, check_lemma_hypotheses, lemma_window
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, coset, defining_set
 from duadic.gf2m import field
-from duadic.gf2poly import generator_poly, mod
+from duadic.gf2poly import generator_poly
 from duadic.pairs import _NO_VERDICT, THEOREM_LEMMA, TheoremVerdict
 
 
@@ -183,6 +183,25 @@ def antilog_table(m, modulus):
 def units(n):
     """Every unit mod n: the candidate differences of a full BCH sweep."""
     return [v for v in range(1, n) if math.gcd(v, n) == 1]
+
+
+def divmod_(a, b):
+    """Quotient and remainder of a by b in GF(2)[x], deg(rem) < deg(b), by
+    bit-by-bit long division: the reference `CyclicCode.contains` is checked
+    against."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = b.bit_length() - 1
+    q = 0
+    while a and a.bit_length() - 1 >= db:
+        shift = a.bit_length() - 1 - db
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def mod(a, b):
+    return divmod_(a, b)[1]
 
 
 def is_even_weight_subcode(sub, sup):

@@ -45,6 +45,20 @@ MUTANTS = [
         "test_code.py",
     ),
     Mutant(
+        "CyclicCode.contains: quotient check",
+        "code.py",
+        "return gf2poly.mul(q, self.g) == word",
+        "return True",
+        "test_code.py",
+    ),
+    Mutant(
+        "CyclicCode.contains: h replaced by g in the quotient",
+        "code.py",
+        "q = gf2poly.mul(word >> (self.n - self.k), self.h) >> self.k",
+        "q = gf2poly.mul(word >> (self.n - self.k), self.g) >> self.k",
+        "test_code.py",
+    ),
+    Mutant(
         "dual: g*h = x^n + 1 check",
         "code.py",
         "if gf2poly.mul(code.g, code.h) != gf2poly.x_pow_plus_one(code.n):",

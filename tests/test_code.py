@@ -29,6 +29,7 @@ from _oracles import (
     is_even_weight_subcode,
     matrix_product_is_zero,
     members,
+    mod,
     rank,
     row_reduce,
 )
@@ -286,6 +287,50 @@ def test_membership_routes_agree():
             by_poly = c.contains(w)
             by_roots = bool((eval_at_powers(field(m), w, exps) == 0).all())
             assert by_poly == by_roots
+
+
+def _class_code(r, m, S):
+    spec = WeightClassSpec(r=r, m=m, S=S, unchecked=True)
+    return from_class_polys(spec, class_polys(m, r))
+
+
+def _membership_words(c, rng):
+    """g itself (when k > 0), random codewords u*g, random words, words with
+    bit n - 1 set, and codewords with one bit flipped."""
+    n = c.n
+    codewords = [c.g] if c.k else []
+    codewords += [gf2poly.mul(rng.getrandbits(c.k), c.g) for _ in range(4)]
+    words = [rng.getrandbits(n) for _ in range(4)] + [rng.getrandbits(n - 1) | 1 << (n - 1) for _ in range(4)]
+    return codewords + words + [w ^ 1 << rng.randrange(n) for w in codewords]
+
+
+def _assert_membership_is_long_division(c, rng):
+    words = _membership_words(c, rng)
+    assert [c.contains(w) for w in words] == [mod(w, c.g) == 0 for w in words]
+    e = extend(c)
+    ext_words = [w | parity << c.n for w in words for parity in (0, 1)]
+    expected = [mod(w & ~(1 << c.n), c.g) == 0 and w.bit_count() % 2 == 0 for w in ext_words]
+    assert [e.contains(w) for w in ext_words] == expected
+    for code in (c, e):
+        with pytest.raises(ValueError):
+            code.contains(1 << code.n)
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_membership_matches_long_division(m):
+    # contains reads the quotient off c*h and checks q*g; the oracle divides by g
+    rng = random.Random(m)
+    for r, S in ((2, (1,)), (4, (1, 2))):
+        primal = _class_code(r, m, S)
+        for c in (primal, dual(primal)):
+            _assert_membership_is_long_division(c, rng)
+
+
+@pytest.mark.parametrize("edge", ["zero code", "empty T"])
+def test_membership_matches_long_division_at_k_0_and_k_n(edge):
+    c = dual(_class_code(2, 2, (0,))) if edge == "zero code" else _class_code(8, 3, (5,))
+    assert c.k == (0 if edge == "zero code" else c.n)
+    _assert_membership_is_long_division(c, random.Random(0))
 
 
 def _encode(c, message):

@@ -15,11 +15,9 @@ from duadic.gf2m import field
 from duadic.gf2poly import (
     check_poly,
     degree,
-    divmod_,
     from_hex,
     generator_poly,
     minimal_poly,
-    mod,
     mul,
     pretty,
     reciprocal,
@@ -29,6 +27,7 @@ from duadic.gf2poly import (
 
 from _oracles import (
     class_polys_direct,
+    divmod_,
     eval_at_powers,
     evaluate,
     expand_roots,
@@ -37,6 +36,7 @@ from _oracles import (
     from_leaders,
     members,
     minimal_poly_table,
+    mod,
     weight_classes,
 )
 
@@ -145,6 +145,8 @@ def test_check_poly():
     assert mul(0xB, h) == x_pow_plus_one(7)
     with pytest.raises(ValueError):
         check_poly(0b111, 7)  # x^2+x+1 does not divide x^7+1
+    with pytest.raises(ValueError):
+        check_poly(0, 7)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])

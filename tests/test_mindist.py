@@ -128,7 +128,7 @@ def test_transform_width_follows_n(low_bits, block_bits, max_low_bits, width):
     assert found == (d, witness, min_odd) and list(wd.counts) == counts
 
 
-def test_worker_pool_determinism():
+def test_determinism_across_transform_blockings():
     # the result is the same on repeated calls and for every division of the
     # message space into (LOW_BITS, BLOCK_BITS) transform blocks
     c = _code(2, 4 + 1, (1,))

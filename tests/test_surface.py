@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "duadic"
 
 # Names whose only caller is still to come, or that only the benchmark's
-# tracing hooks call.
+# tracing hooks call. check_poly holds the package's only division; no
+# command divides, and the long-division oracle is tests/_oracles.py's.
 PENDING = {"sqrt_bounds": "ROADMAP item 1", "check_poly": "perfbench tracing target until ROADMAP item 2"}
 
 
