@@ -430,6 +430,11 @@ def _render_table(columns, rows):
 
 _CONTAINERS = (dict, list, tuple)
 
+# Items of a list that one call of json's C encoder writes. The encoder
+# holds every small string it makes until the call returns, so a long list
+# is encoded a slice at a time.
+JSON_BATCH_ITEMS = 64
+
 
 def _is_flat(values):
     """True when no value is a container (checked once per value type)."""
@@ -442,9 +447,10 @@ def _is_row_list(obj):
 
 
 def _json_leaf(obj, pad):
-    """The indented text of a scalar, or of a container of scalars whose
-    opening bracket sits at indentation pad: json's C encoder, with the
-    item separator that indent=2 puts between members at pad + 2 spaces."""
+    """The indented text of a scalar, an empty container or a dict of
+    scalars whose opening brace sits at indentation pad: json's C encoder,
+    with the item separator that indent=2 puts between members at pad + 2
+    spaces."""
     inner = pad + "  "
     text = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
     if not isinstance(obj, _CONTAINERS) or not obj:
@@ -452,26 +458,42 @@ def _json_leaf(obj, pad):
     return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
 
 
+def _json_slices(items, sep):
+    """Yield the text of items, JSON_BATCH_ITEMS at a time, as json's C
+    encoder writes each slice with the separator sep, without its brackets."""
+    for start in range(0, len(items), JSON_BATCH_ITEMS):
+        yield json.dumps(items[start : start + JSON_BATCH_ITEMS], sort_keys=True, separators=(sep, ": "))[1:-1]
+
+
 def _json_parts(obj, pad=""):
     """The text of `json.dumps(obj, sort_keys=True, indent=2)`, its first
     line at indentation pad, as a list of parts: indent=2 would need json's
     pure-Python encoder, so json's C encoder writes every container of
-    scalars. Dict keys are str, as in every payload. A list of flat rows is
-    one C-encoder call, which joins two rows by "}," + newline + the
-    members' indentation + "{"; JSON text holds no raw newline inside a
-    string, and members are scalars, so that text occurs only between two
-    rows, where indent=2 closes one row and opens the next on lines of
-    their own."""
+    scalars. Dict keys are str, as in every payload. A list of scalars or
+    of flat rows takes one C-encoder call per JSON_BATCH_ITEMS items. In a
+    call the encoder joins two rows by "}," + newline + the members'
+    indentation + "{"; JSON text holds no raw newline inside a string, and
+    members are scalars, so that text occurs only between two rows, where
+    indent=2 closes one row and opens the next on lines of their own."""
     if isinstance(obj, dict) and not _is_flat(obj.values()):
         members, brackets = [(f"{json.dumps(key)}: ", obj[key]) for key in sorted(obj)], "{}"
     elif isinstance(obj, (list, tuple)) and not _is_flat(obj):
         if _is_row_list(obj):
             item, member = pad + "  ", pad + "    "
-            text = json.dumps(obj, sort_keys=True, separators=(",\n" + member, ": "))
-            text = text.replace("},\n" + member + "{", f"\n{item}}},\n{item}{{\n{member}")
-            # brackets as parts of their own: joining them here would hold a third copy of the rows
-            return [f"[\n{item}{{\n{member}", text[2:-2], f"\n{item}}}\n{pad}]"]
+            joint = f"\n{item}}},\n{item}{{\n{member}"
+            parts = [f"[\n{item}{{\n{member}"]
+            for text in _json_slices(obj, ",\n" + member):
+                parts += [text[1:-1].replace("},\n" + member + "{", joint), joint]
+            parts[-1] = f"\n{item}}}\n{pad}]"
+            return parts
         members, brackets = [("", value) for value in obj], "[]"
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = pad + "  "
+        parts = [f"[\n{inner}"]
+        for text in _json_slices(obj, ",\n" + inner):
+            parts += [text, ",\n" + inner]
+        parts[-1] = f"\n{pad}]"
+        return parts
     else:
         return [_json_leaf(obj, pad)]
     inner = pad + "  "

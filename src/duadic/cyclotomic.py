@@ -13,7 +13,7 @@ from functools import lru_cache
 from ._bits import from_bool as _bool_to_bits
 from ._bits import to_bool as _bits_to_bool
 from ._numpy import np
-from .gf2m import M_MAX, M_MIN
+from .gf2m import M_MAX, M_MIN, SETUP_BLOCK
 
 
 def _doubled(x, m):
@@ -36,17 +36,22 @@ def leaders_of_z_n(m):
     """The coset leaders of Z_n, n = 2^m - 1, ascending, as a read-only
     int32 array: the residues at most each of their m rotations. The scan
     starts from 0 and the odd residues, since an even j > 0 has j / 2 in
-    its coset. After each rotation the residues that exceed it are
-    dropped, so later rotations run over fewer of them. Kept once per m.
+    its coset, and takes SETUP_BLOCK of them at a time. After each rotation
+    the residues that exceed it are dropped, so later rotations run over
+    fewer of them. Kept once per m.
     `DefiningSet.coset_leaders` and `gf2poly.class_polys` take masks of
     it, by membership and by weight, and `gf2poly._minimal_poly_table`
     writes its entries at these residues."""
-    leaders = rotated = np.arange(-1, (1 << m) - 1, 2, dtype=np.int32)
-    leaders[0] = 0
-    for _ in range(m - 1):
-        rotated = _doubled(rotated, m)
-        kept = leaders <= rotated
-        leaders, rotated = leaders[kept], rotated[kept]
+    n = (1 << m) - 1
+    found = [np.zeros(1, dtype=np.int32)]
+    for start in range(1, n, 2 * SETUP_BLOCK):
+        leaders = rotated = np.arange(start, min(start + 2 * SETUP_BLOCK, n), 2, dtype=np.int32)
+        for _ in range(m - 1):
+            rotated = _doubled(rotated, m)
+            kept = leaders <= rotated
+            leaders, rotated = leaders[kept], rotated[kept]
+        found.append(leaders)
+    leaders = np.concatenate(found)
     leaders.flags.writeable = False
     return leaders
 

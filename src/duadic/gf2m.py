@@ -1,4 +1,5 @@
-"""The field GF(2^m) as its antilog table.
+"""The field GF(2^m) as its degree and primitive modulus, and its antilog
+table built on demand.
 
 Field elements are plain Python ints: the bits of an element are its
 coordinates in the polynomial basis (bit i = coefficient of alpha^i).
@@ -11,6 +12,10 @@ from ._numpy import np
 
 M_MIN = 2
 M_MAX = 20
+
+# Entries of an n-indexed array that one setup step processes at a time, so
+# the temporaries of the field and coset setup do not grow with n.
+SETUP_BLOCK = 1 << 13
 
 
 def _prime_factors(n):
@@ -77,44 +82,54 @@ def _times_constant(c, v, modulus, m, out):
     Multiplying by c is GF(2)-linear, so the product is the xor, over the
     bytes of v, of a lookup in a 256-entry table per byte, built from the
     images c * alpha^i of the basis elements alpha^i. Each byte of v is
-    taken out as a uint8 index.
+    taken out as a uint8 index, SETUP_BLOCK entries at a time.
     """
-    out.fill(0)
+    tables = []
     for low in range(0, m, 8):
         table = np.zeros(256, dtype=np.uint32)
         for k in range(min(8, m - low)):
             table[1 << k : 2 << k] = table[: 1 << k] ^ _mulmod(c, 1 << (low + k), modulus, m)
-        out ^= table[(v >> low).astype(np.uint8)]
+        tables.append(table)
+    for start in range(0, len(v), SETUP_BLOCK):
+        block, dest = v[start : start + SETUP_BLOCK], out[start : start + SETUP_BLOCK]
+        dest.fill(0)
+        for low, table in zip(range(0, m, 8), tables):
+            dest ^= table[(block >> low).astype(np.uint8)]
 
 
 class GF2m:
-    """The field GF(2^m), 2 <= m <= 20, with alpha = x primitive, as its tables.
-
-    antilog_table[e] = alpha^e for e in Z_n (n = 2^m - 1), a read-only
-    numpy array, so an instance is safe for concurrent reads. No command
-    takes a discrete log, so no log table is kept.
-
-    The antilog table starts from a[0] = 1, and the filled prefix a[0:B]
-    doubles: a[B:2B] = alpha^B * a[0:B], written by `_times_constant`
-    straight into the table, ceil(log2 n) = m numpy passes in all.
+    """The field GF(2^m), 2 <= m <= 20, with alpha = x primitive: its degree
+    m, n = 2^m - 1 and the modulus, the smallest primitive polynomial of
+    degree m. An instance keeps no table, so it is small and safe for
+    concurrent reads; `antilog` builds the powers of alpha for a caller that
+    needs them. No command takes a discrete log, so no log table is built.
     """
 
-    __slots__ = ("m", "n", "modulus", "antilog_table")
+    __slots__ = ("m", "n", "modulus")
 
     def __init__(self, m):
         self.modulus = smallest_primitive_modulus(m)
         self.m = m
         self.n = (1 << m) - 1
+
+    def antilog(self):
+        """alpha^e for e in Z_n as a new read-only uint32 array, which only
+        the caller holds.
+
+        The table starts from a[0] = 1, and the filled prefix a[0:B]
+        doubles: a[B:2B] = alpha^B * a[0:B], written by `_times_constant`
+        straight into the table, ceil(log2 n) = m passes in all.
+        """
         antilog = np.empty(self.n, dtype=np.uint32)
         antilog[0] = 1
         filled, x = 1, 2  # x = alpha^filled from here on
         while filled < self.n:
             step = min(filled, self.n - filled)
-            _times_constant(x, antilog[:step], self.modulus, m, antilog[filled : filled + step])
+            _times_constant(x, antilog[:step], self.modulus, self.m, antilog[filled : filled + step])
             filled += step
-            x = _mulmod(x, x, self.modulus, m)
+            x = _mulmod(x, x, self.modulus, self.m)
         antilog.flags.writeable = False
-        self.antilog_table = antilog
+        return antilog
 
     def __repr__(self):
         return f"GF2m(m={self.m}, modulus={self.modulus:#x})"
@@ -122,5 +137,5 @@ class GF2m:
 
 @lru_cache(maxsize=None)
 def field(m):
-    """Shared per-degree field instance (construction is the expensive part)."""
+    """Shared per-degree field instance."""
     return GF2m(m)

@@ -11,7 +11,9 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   {C, -C}, one vectorised Berlekamp-Massey pass (Massey, IEEE Trans. IT
   15, 1969) over the 2m bits s_k = bit 0 of alpha^(e k) gives the
   minimal polynomial of alpha^(-e), and its reversal is that of
-  alpha^e. Each row is certified by its degree and a root. The table
+  alpha^e. The rows alpha^(e k) are streamed off the field's antilog
+  table, which the build makes and frees, so no n-entry field table
+  outlives it. Each row is certified by its degree and a root. The table
   holds each polynomial once, at its coset's leader, and 0 elsewhere.
   The leader array is kept per m (`cyclotomic.leaders_of_z_n`);
   `DefiningSet.coset_leaders` and `class_polys` take their leaders off
@@ -40,14 +42,15 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   covers the many small products of small fields and the lower levels of
   every product tree.
 - Above it, `mul` convolves the 0/1 coefficient vectors with a float64
-  FFT, rounds, and reduces mod 2. numpy's transform holds about four
-  buffers of the transform length at once, so a product of more than
-  FFT_MAX_BITS = 2^17 bits (la + lb - 1 for operands of la and lb bits)
-  is split first, and each float64 buffer holds at most 1 MB. The one
-  split rule is Karatsuba's (Karatsuba and Ofman, 1962): both operands
-  are cut at half the longer one, into three products. When the shorter
-  operand has no high half, one of them is 0 and the split costs two.
-- The exact coefficients are integers below 2^17, far inside float64's
+  FFT, rounds into an int32 buffer, and takes the parity in place.
+  numpy's transform holds about four buffers of the transform length at
+  once, so a product of more than FFT_MAX_BITS = 2^16 + FFT_MIN_BITS bits
+  (la + lb - 1 for operands of la and lb bits) is split first, and each
+  float64 buffer holds at most 0.54 MB. The one split rule is Karatsuba's
+  (Karatsuba and Ofman, 1962): both operands are cut at half the longer
+  one, into three products. When the shorter operand has no high half,
+  one of them is 0 and the split costs two.
+- The exact coefficients are integers below 2^16, far inside float64's
   exact range, and the transform's error is far below 1/2. That margin is
   measured, not proven, so the rounding guard requires every coefficient
   within ROUNDING_TOLERANCE of an integer and raises otherwise: a lost
@@ -62,7 +65,7 @@ from functools import lru_cache, reduce
 from ._bits import from_bool, to_bool
 from ._numpy import np
 from .cyclotomic import coset, leaders_of_z_n, rotations
-from .gf2m import field
+from .gf2m import SETUP_BLOCK, field
 
 NEG_INF = float("-inf")
 
@@ -70,8 +73,11 @@ NEG_INF = float("-inf")
 FFT_MIN_BITS = 1024
 
 # Longest product, in bits, that one FFT computes, so each float64 buffer
-# holds at most 1 MB; a longer one is split.
-FFT_MAX_BITS = 1 << 17
+# holds at most 0.54 MB; a longer one is split. `product` folds its leaves
+# to just over FFT_MIN_BITS, so the products of its tree run a little over
+# powers of two: the added FFT_MIN_BITS keeps one that is a few bits over
+# 2^16 in one transform instead of three.
+FFT_MAX_BITS = (1 << 16) + FFT_MIN_BITS
 
 # Largest allowed distance of an FFT coefficient from the nearest integer.
 ROUNDING_TOLERANCE = 0.25
@@ -128,19 +134,22 @@ def _fft_length(n):
 
 def _mul_fft(a, b):
     """Integer convolution of the coefficient vectors by FFT, then mod 2.
-    Raises when a coefficient is not within ROUNDING_TOLERANCE of an integer."""
+    Raises when a coefficient is not within ROUNDING_TOLERANCE of an integer.
+    The rounding writes an int32 buffer, and the error and the parity are
+    taken in place, so no second float64 buffer is allocated."""
     nbits = a.bit_length() + b.bit_length() - 1
     length = _fft_length(nbits)
     spectrum = np.fft.rfft(to_bool(a, a.bit_length()), length)
     spectrum *= np.fft.rfft(to_bool(b, b.bit_length()), length)
     conv = np.fft.irfft(spectrum, length)[:nbits]
     del spectrum  # freed before the rounding allocates its own buffer
-    exact = np.rint(conv)
+    exact = np.rint(conv, out=np.empty(nbits, dtype=np.int32), casting="unsafe")
     conv -= exact
     worst = float(np.abs(conv, out=conv).max())
     if not worst < ROUNDING_TOLERANCE:
         raise ArithmeticError(f"FFT product lost precision: a coefficient was {worst:.3g} from an integer")
-    return from_bool((exact.astype(np.int32) & 1).astype(bool))
+    exact &= 1  # the parity; packbits reads a nonzero entry as a set bit
+    return from_bool(exact)
 
 
 def reciprocal(p):
@@ -162,31 +171,24 @@ def _minimal_poly_table(m):
     polynomial of alpha^j, and every other entry is 0.
 
     Of each pair {C, -C} the coset whose leader e is at most n - max(C)
-    is computed. Bit 0 of alpha^(e k) is not always 0 (alpha^0 = 1), so
-    its least recurrence is the minimal polynomial M of alpha^e, reversed.
-    An M whose degree is not |C| or that misses alpha^e raises AssertionError.
-    The reversed M goes to n - max(C), the leader of -C.
+    is computed, by `_minimal_polys` over SETUP_BLOCK leaders at a time.
+    Its reversal goes to n - max(C), the leader of -C. The field's
+    antilog table is built for this and freed before the table is
+    allocated, so no n-entry field table outlives the build.
     """
-    antilog, n = field(m).antilog_table, (1 << m) - 1
+    n = (1 << m) - 1
     leaders = leaders_of_z_n(m)
     top = reduce(np.maximum, rotations(leaders, m))
     half = leaders <= n - top
     exps = leaders[half]
     # m doublings run round a coset of size d exactly m / d times
     sizes = m // sum(x == exps for x in rotations(exps, m))
-    powers = np.empty((2 * m, len(exps)), dtype=np.uint32)  # powers[k] = alpha^(e k)
-    e_k = np.zeros_like(exps)
-    for row in powers:
-        np.take(antilog, e_k, out=row)
-        e_k += exps
-        e_k[e_k >= n] -= n
-    polys = _reversed(_berlekamp_massey(powers & 1), sizes)
-    # M(alpha^e): the xor of alpha^(e i) over the terms x^i of M
-    root = np.zeros_like(powers[0])
-    for i, row in enumerate(powers[: m + 1]):
-        root ^= np.where(polys >> i & 1, row, 0)
-    if np.any(polys >> sizes != 1) or root.any():
-        raise AssertionError(f"a Berlekamp-Massey row is not a minimal polynomial of GF(2^{m})")
+    antilog = field(m).antilog()
+    blocks = range(0, len(exps), SETUP_BLOCK)
+    polys = np.concatenate(
+        [_minimal_polys(antilog, exps[i : i + SETUP_BLOCK], sizes[i : i + SETUP_BLOCK], m) for i in blocks]
+    )
+    del antilog
     table = np.zeros(n, dtype=np.uint32)
     table[exps] = polys
     # row 0 is the coset {0}, its own negation
@@ -194,18 +196,47 @@ def _minimal_poly_table(m):
     return table
 
 
-def _berlekamp_massey(bits):
-    """Berlekamp-Massey over many binary sequences at once: bits[k] holds
-    their terms s_k. Returns, as int64 bitmasks, the connection polynomial
-    C, C(0) = 1, of the shortest recurrence sum_i c_i s_(k-i) = 0 of each;
-    one of order L (below 32 here) is fixed by its first 2L terms. int64, as
-    in `mindist`'s transform, runs numpy loops already paged in."""
-    conn = np.ones(bits.shape[1], dtype=np.int64)
+def _minimal_polys(antilog, exps, sizes, m):
+    """The minimal polynomial M of alpha^e for each leader e in exps, whose
+    coset has the size in sizes, as int64 bitmasks.
+
+    Bit 0 of alpha^(e k) is not always 0 (alpha^0 = 1), so its least
+    recurrence is M reversed: the rows alpha^(e k), k < 2m, are streamed
+    off the antilog table into `_berlekamp_massey`. An M whose degree is
+    not its coset's size or that misses alpha^e raises AssertionError.
+    """
+    polys = _reversed(_berlekamp_massey((row & 1 for row in _powers(antilog, exps, 2 * m)), len(exps)), sizes)
+    # M(alpha^e): the xor of alpha^(e i) over the terms x^i of M, rows 0..m read again
+    root = np.zeros(len(exps), dtype=np.uint32)
+    for i, row in enumerate(_powers(antilog, exps, m + 1)):
+        root ^= np.where(polys >> i & 1, row, 0)
+    if np.any(polys >> sizes != 1) or root.any():
+        raise AssertionError(f"a Berlekamp-Massey row is not a minimal polynomial of GF(2^{m})")
+    return polys
+
+
+def _powers(antilog, exps, count):
+    """Yield the rows alpha^(e k), k = 0..count-1, over the exponents e in
+    exps, each a new uint32 array read off the antilog table."""
+    e_k = np.zeros_like(exps)
+    for _ in range(count):
+        yield antilog[e_k]
+        e_k += exps
+        e_k[e_k >= len(antilog)] -= len(antilog)
+
+
+def _berlekamp_massey(rows, width):
+    """Berlekamp-Massey over `width` binary sequences at once: the k-th of
+    rows holds their terms s_k. Returns, as int64 bitmasks, the connection
+    polynomial C, C(0) = 1, of the shortest recurrence sum_i c_i s_(k-i) = 0
+    of each; one of order L (below 32 here) is fixed by its first 2L terms.
+    int64, as in `mindist`'s transform, runs numpy loops already paged in."""
+    conn = np.ones(width, dtype=np.int64)
     prev = conn.copy()  # C before the order last grew
     order = np.zeros_like(conn)
     gap = conn.copy()  # steps since the order last grew
     window = np.zeros_like(conn)  # bit i = s_(k-i)
-    for k, terms in enumerate(bits):
+    for k, terms in enumerate(rows):
         window = (window << 1) | terms
         wrong = np.bitwise_count(conn & window).astype(np.int64) & 1  # C misses s_k
         grow = wrong & (2 * order <= k)

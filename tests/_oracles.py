@@ -71,11 +71,18 @@ def class_polys_direct(m, r):
 
 
 @lru_cache(maxsize=None)
+def antilog(fld):
+    """The field's antilog table, built once per field for the tests (the
+    package builds it anew for each caller and keeps none)."""
+    return fld.antilog()
+
+
+@lru_cache(maxsize=None)
 def log_table(fld):
     """log[a] = e with alpha^e = a for each nonzero field element a, and
     log[0] = -1: the inverse of the field's antilog table, as int32."""
     log = np.full(fld.n + 1, -1, dtype=np.int32)
-    log[fld.antilog_table] = np.arange(fld.n, dtype=np.int32)
+    log[antilog(fld)] = np.arange(fld.n, dtype=np.int32)
     return log
 
 
@@ -84,20 +91,20 @@ def field_mul(fld, a, b):
     if a == 0 or b == 0:
         return 0
     log = log_table(fld)
-    return int(fld.antilog_table[(int(log[a]) + int(log[b])) % fld.n])
+    return int(antilog(fld)[(int(log[a]) + int(log[b])) % fld.n])
 
 
 def expand_roots(fld, exps):
     """Bitmasks of prod_k (x - alpha^exps[:, k]) for each row of int32
     exponents, expanded in GF(2^m)[x] with numpy one root at a time; each
     product must lie in GF(2)[x]."""
-    antilog, log, n = fld.antilog_table, log_table(fld), fld.n
+    powers, log, n = antilog(fld), log_table(fld), fld.n
     rows, size = exps.shape
     coeffs = np.zeros((rows, size + 1), dtype=np.uint32)
     coeffs[:, 0] = 1
     for j in range(size):
         low = coeffs[:, : j + 1].copy()
-        scaled = antilog[(log[low] + exps[:, j : j + 1]) % n]
+        scaled = powers[(log[low] + exps[:, j : j + 1]) % n]
         scaled[low == 0] = 0
         coeffs[:, : j + 1] = scaled
         coeffs[:, 1 : j + 2] ^= low
@@ -223,12 +230,11 @@ def eval_at_powers(fld, p, exponents=None):
         exponents = np.arange(n, dtype=np.int64)
     else:
         exponents = np.asarray(exponents, dtype=np.int64) % n
-    antilog = fld.antilog_table
-    log = log_table(fld)
+    powers, log = antilog(fld), log_table(fld)
     acc = np.zeros(len(exponents), dtype=np.uint32)
     for d in range(p.bit_length() - 1, -1, -1):
         nz = acc != 0
-        acc[nz] = antilog[(log[acc[nz]].astype(np.int64) + exponents[nz]) % n]
+        acc[nz] = powers[(log[acc[nz]].astype(np.int64) + exponents[nz]) % n]
         if (p >> d) & 1:
             acc ^= 1
     return acc

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -560,12 +561,32 @@ def test_json_batches_equal_indented_dumps(document):
 
 
 def test_json_batches_of_a_row_list_span_several_batches():
-    # more rows than several of the 1024-row batches the output was once written in
+    # rows and scalars that look like the joints and separators, over many JSON_BATCH_ITEMS slices
     rows = [{"S": "0,1", "detail": "},\n    {", "v": i} for i in range(3 * 1024 + 1)] + [{"other": None}]
-    # a row list is one C-encoder call at any length: its opening, its rows, its closing
-    assert len(cli._json_parts(rows)) == 3
-    document = {"rows": rows, "r": 2}
-    assert "".join(cli._json_parts(document)) == json.dumps(document, sort_keys=True, indent=2)
+    scalars = ["},\n    {", ",\n  ", *range(3 * cli.JSON_BATCH_ITEMS), None, True, 0.5]
+    document = {"rows": rows, "r": 2, "scalars": scalars}
+    with mock.patch.object(cli.json, "dumps", wraps=json.dumps) as dumps:
+        text = "".join(cli._json_parts(document))
+    assert text == json.dumps(document, sort_keys=True, indent=2)
+    # every item goes through the C encoder once, at most JSON_BATCH_ITEMS of them per call
+    slices = [call.args[0] for call in dumps.call_args_list if isinstance(call.args[0], list)]
+    assert max(map(len, slices)) == cli.JSON_BATCH_ITEMS
+    assert sum(map(len, slices)) == len(rows) + len(scalars)
+
+
+def test_long_json_lists_peak_below_three_times_their_text():
+    # 800 rows of 25 fields and 20000 leaders, as in the table and construct reports: a C-encoder
+    # call holds every small string it makes, 5.1x the text here when each list was one call
+    rows = [{f"field_{j:02}": i * j for j in range(25)} for i in range(800)]
+    document = {"rows": rows, "defining_set_leaders": list(range(100000, 120000))}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chars = sum(map(len, cli._json_parts(document)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * chars
 
 
 def test_custom_v_candidates(capsys):

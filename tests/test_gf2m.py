@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from duadic import gf2m
 from duadic.gf2m import GF2m, _mulmod, _prime_factors, field, smallest_primitive_modulus
 
-from _oracles import antilog_table, field_mul, log_table
+from _oracles import antilog, antilog_table, field_mul, log_table
 
 # Prime factors of 2^m - 1 for every supported degree, kept by hand as the
 # reference for the trial division that `smallest_primitive_modulus` uses.
@@ -71,23 +72,22 @@ def test_factor_table_consistent():
 @pytest.mark.parametrize("m", range(2, 21))
 def test_alpha_has_full_order(m):
     f = field(m)
-    n = f.n
-    assert int(f.antilog_table[0]) == 1 and int(f.antilog_table[1]) == 2  # alpha = x
+    n, powers = f.n, antilog(f)
+    assert int(powers[0]) == 1 and int(powers[1]) == 2  # alpha = x
     for p in ORDER_FACTORS[m]:
-        assert int(f.antilog_table[n // p]) != 1
+        assert int(powers[n // p]) != 1
 
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_antilog_and_log_tables_are_inverse(m):
-    # the field keeps no log table; the tests' one inverts the antilog table
+    # the field builds no log table; the tests' one inverts the antilog table
     f = field(m)
-    antilog, log = f.antilog_table, log_table(f)
-    assert antilog.shape == (f.n,) and log.shape == (1 << m,)
+    powers, log = antilog(f), log_table(f)
+    assert powers.shape == (f.n,) and log.shape == (1 << m,)
     # antilog maps Z_n one-to-one onto the nonzero elements 1..2^m - 1
-    assert np.array_equal(np.sort(antilog), np.arange(1, 1 << m))
-    assert np.array_equal(log[antilog], np.arange(f.n))
+    assert np.array_equal(np.sort(powers), np.arange(1, 1 << m))
+    assert np.array_equal(log[powers], np.arange(f.n))
     assert log[0] == -1  # zero has no discrete log
-    assert not hasattr(f, "log_table")
 
 
 @pytest.mark.parametrize("m", range(2, 21))
@@ -95,7 +95,7 @@ def test_antilog_table_follows_the_recurrence(m):
     # a[e + 1] = x * a[e] mod the modulus over the whole table at once, and
     # alpha^n = 1 closes the cycle
     f = field(m)
-    a = f.antilog_table.astype(np.int64)
+    a = antilog(f).astype(np.int64)
     step = a << 1
     step ^= np.where(step >> m, f.modulus, 0)
     assert a[0] == 1 and step[-1] == 1
@@ -105,9 +105,10 @@ def test_antilog_table_follows_the_recurrence(m):
 @pytest.mark.parametrize("m", range(2, 21))
 def test_doubling_fill_equals_the_power_by_power_loop(m):
     # from alpha^0 alone, one `_times_constant` pass per doubling of the filled prefix, at every m
+    f = GF2m(m)
     with mock.patch.object(gf2m, "_times_constant", wraps=gf2m._times_constant) as times:
-        f = GF2m(m)
-    assert np.array_equal(f.antilog_table, antilog_table(m, f.modulus))
+        powers = f.antilog()
+    assert np.array_equal(powers, antilog_table(m, f.modulus))
     assert times.call_count == math.ceil(math.log2(f.n)) == m
 
 
@@ -129,7 +130,7 @@ def test_field_axioms_sampled(sample):
     assert field_mul(f, a, b ^ c) == field_mul(f, a, b) ^ field_mul(f, a, c)
     assert field_mul(f, a, 1) == a
     if a:
-        assert field_mul(f, a, int(f.antilog_table[-int(log_table(f)[a]) % f.n])) == 1
+        assert field_mul(f, a, int(antilog(f)[-int(log_table(f)[a]) % f.n])) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,3 +152,34 @@ def test_gcd_identity_of_two_power_orders():
 
 def test_field_cache_returns_same_instance():
     assert field(9) is field(9)
+
+
+def test_field_keeps_no_table():
+    # the shared instance holds its degree, n and modulus alone; each antilog call builds a
+    # new read-only table that only its caller holds
+    f = field(9)
+    assert GF2m.__slots__ == ("m", "n", "modulus")
+    assert (f.m, f.n, f.modulus) == (9, 511, SMALLEST_PRIMITIVE[9])
+    first, second = f.antilog(), f.antilog()
+    assert first is not second and np.array_equal(first, second)
+    assert not first.flags.writeable
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc sees allocated while it runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_antilog_fill_peak_grows_with_its_output_alone():
+    # the doubling fill multiplies SETUP_BLOCK = 8192 entries at a time, a full block from
+    # m = 14 on, so from m = 14 to m = 18 the peak grows by the table's own 4 (n_18 - n_14)
+    # bytes and at most a page more (measured: 717 bytes more); a fill whose byte lookups ran
+    # over the whole doubled prefix at once grew by 1.6 times as much
+    (small, small_peak), (large, large_peak) = (_traced(GF2m(m).antilog) for m in (14, 18))
+    assert large_peak - small_peak <= large.nbytes - small.nbytes + 4096

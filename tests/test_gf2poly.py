@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duadic import cyclotomic, gf2poly
+from duadic import cyclotomic, gf2m, gf2poly
 from duadic.code import dual, from_defining_set
 from duadic.cyclotomic import CyclotomicCoset, DefiningSet, WeightClassSpec, coset, defining_set
 from duadic.gf2m import field
@@ -26,6 +26,7 @@ from duadic.gf2poly import (
 )
 
 from _oracles import (
+    antilog,
     class_polys_direct,
     divmod_,
     eval_at_powers,
@@ -106,7 +107,7 @@ def test_minimal_poly_degree_and_roots():
     p = minimal_poly(cs)
     assert degree(p) == cs.size
     for i in cs.elements:
-        assert evaluate(f, p, int(f.antilog_table[i])) == 0
+        assert evaluate(f, p, int(antilog(f)[i])) == 0
 
 
 def _is_irreducible(p):
@@ -181,7 +182,7 @@ def test_eval_at_powers_matches_scalar():
     p = rng.getrandbits(12)
     vec = eval_at_powers(f, p)
     for e in range(f.n):
-        assert int(vec[e]) == evaluate(f, p, int(f.antilog_table[e]))
+        assert int(vec[e]) == evaluate(f, p, int(antilog(f)[e]))
 
 
 def test_hex_and_pretty():
@@ -206,7 +207,7 @@ def _scalar_minimal_poly(fld, elements):
     """Reference coset product prod (x - alpha^i), one field operation at a time."""
     coeffs = [1]
     for i in elements:
-        root = int(fld.antilog_table[i])
+        root = int(antilog(fld)[i])
         nxt = [0] * (len(coeffs) + 1)
         for j, c in enumerate(coeffs):
             nxt[j + 1] ^= c
@@ -261,14 +262,15 @@ def test_a_product_of_fft_max_bits_takes_one_transform():
     shapes = [
         # a product of exactly FFT_MAX_BITS bits fits one transform
         (gf2poly.FFT_MAX_BITS + 1 - 2000, 2000, 1),
-        # the top product of the m = 19 class product tree: two of its three halves' products
-        # are 255 and 256 bits over the bound and split again
-        (131329, 130816, 7),
-        # g * h at m = 19: three products of three
-        (262145, 262144, 9),
+        # the top product of the m = 19 class product tree: its three products of about 2^17 bits
+        # split again, into products of up to 2^16 + 126 bits that the FFT_MIN_BITS slack keeps
+        # in one transform each (19 transforms with no slack)
+        (131329, 130816, 9),
+        # g * h at m = 19: three products of three of three
+        (262145, 262144, 27),
         # a shorter operand with no high half: b1 = 0, so a1 * b1 is 0 by shift-xor and the
-        # split costs two products, each split again once
-        (400000, 3000, 4),
+        # split costs two products, each split twice more
+        (400000, 3000, 8),
     ]
     for la, lb, transforms in shapes:
         # the bit below the cut gives the low half of the sparse operand its full length, as in a dense one
@@ -280,34 +282,76 @@ def test_a_product_of_fft_max_bits_takes_one_transform():
         assert product == _shift_xor(a, b) == mul(b, a)
 
 
-def _traced_peak(fn, *args):
-    """Peak bytes that tracemalloc sees allocated while fn(*args) runs, above what was held before."""
+def _traced(fn, *args):
+    """fn(*args), and the peak bytes that tracemalloc sees allocated while it runs and the bytes
+    still held when it returns, each above what was held before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
+        out = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        return out, peak - before, held - before
     finally:
         tracemalloc.stop()
 
 
 def test_a_split_product_peaks_near_one_transform():
-    # 2 * FFT_MAX_BITS bits: three transforms of FFT_MAX_BITS, one at a time, whose float64
-    # buffers hold 1 MB each; one transform of 2^18 bits traced 6.3 MB
+    # 2 * FFT_MAX_BITS bits: three transforms of FFT_MAX_BITS = 2^16 + 1024 bits, one at a
+    # time, whose float64 buffers hold 0.54 MB each. It traced 1.44 MB, and 1.56-1.58 MB as the
+    # first transforms of that length in a process; the bound leaves 0.22 MB above that. The
+    # same shape at 2^17, with a rounding that kept a float64 and two integer copies, traced
+    # 3.38 MB
     rng = random.Random(3)
     half = gf2poly.FFT_MAX_BITS
     a, b = rng.getrandbits(half) | 1 << (half - 1), rng.getrandbits(half + 1) | 1 << half
-    assert _traced_peak(mul, a, b) < 3.5e6
+    assert _traced(mul, a, b)[1] < 1.8e6
 
 
-@pytest.mark.parametrize(("build", "bound"), [(cyclotomic.leaders_of_z_n, 2.5), (gf2poly._minimal_poly_table, 3.2)])
+@pytest.mark.parametrize(
+    ("build", "bound"),
+    [(cyclotomic.leaders_of_z_n, 0.8), (gf2poly._minimal_poly_table, 2.3)],
+    ids=["leaders_of_z_n", "_minimal_poly_table"],
+)
 def test_field_setup_peaks_below_a_few_times_the_antilog_table(build, bound):
-    # in multiples of 4n bytes, one int32 array over Z_n, at m = 16: the leader scan over 0
-    # and the odd residues peaks at 2.0 (4.0 over all of Z_n), and the table, which keeps
-    # 1.0 and writes only at the leaders, at 3.0
+    # in multiples of 4n bytes, one int32 array over Z_n, at m = 16: the leader scan, a block
+    # of SETUP_BLOCK odd residues at a time, peaks at 0.72 (2.0 over all of them at once), and
+    # the table build, which fills and frees the antilog table before it allocates the table,
+    # at 2.04-2.10 (3.0 with a 2m-row power matrix, the antilog table held before the trace);
+    # each bound is about a tenth above the measured peak
     m = 16
     field(m), cyclotomic.leaders_of_z_n(m)  # the table's inputs, held before the trace
-    assert _traced_peak(build.__wrapped__, m) < bound * 4 * ((1 << m) - 1)
+    assert _traced(build.__wrapped__, m)[1] < bound * 4 * ((1 << m) - 1)
+
+
+def test_minimal_poly_table_holds_no_antilog_table_after_the_build():
+    # from a cold start, what the build leaves held is the table, the leader array that
+    # `leaders_of_z_n` caches and the field instance: no n-entry antilog table outlives it
+    m = 16
+    gf2m.field.cache_clear()
+    cyclotomic.leaders_of_z_n.cache_clear()
+    table, _, held = _traced(gf2poly._minimal_poly_table.__wrapped__, m)
+    assert held <= table.nbytes + cyclotomic.leaders_of_z_n(m).nbytes + 4096
+
+
+@pytest.mark.parametrize(
+    ("build", "per_leader"),
+    [(cyclotomic.leaders_of_z_n, 4), (gf2poly._minimal_poly_table, 80)],
+    ids=["leaders_of_z_n", "_minimal_poly_table"],
+)
+def test_field_setup_peak_grows_with_its_output(build, per_leader):
+    # from m = 14 to m = 18 the peak grows by the output's growth plus per_leader bytes per
+    # added coset leader, and by nothing that grows with n itself. The leader scan's blocks
+    # are full from m = 14 on; its concatenation holds one int32 copy of the leaders next to
+    # the output (measured: 3.5 bytes a leader over the output's growth, against 113 for one
+    # scan over all odd residues). The table build fills the antilog table (4n bytes) and frees
+    # it before it allocates the table (4n bytes), so one n-entry array is held at a time; the
+    # rest is Berlekamp-Massey state over the leaders (measured: 61.7 bytes a leader, against
+    # 134.7 for a 2m-row power matrix next to the antilog table)
+    for m in (14, 18):
+        field(m), cyclotomic.leaders_of_z_n(m)
+    (small, small_peak, _), (large, large_peak, _) = (_traced(build.__wrapped__, m) for m in (14, 18))
+    added_leaders = len(cyclotomic.leaders_of_z_n(18)) - len(cyclotomic.leaders_of_z_n(14))
+    assert large_peak - small_peak <= large.nbytes - small.nbytes + per_leader * added_leaders
 
 
 def test_fft_rounding_guard_raises_on_a_perturbed_transform(monkeypatch):
@@ -333,7 +377,15 @@ def test_minimal_poly_table_matches_scalar_expansion(m):
     # even m has self-paired cosets (C = -C) and cosets of subfields
     f = field(m)
     cosets = [coset(s, f.n) for s in DefiningSet.full(f.n).coset_leaders()]
-    with mock.patch.object(gf2poly, "_berlekamp_massey", wraps=gf2poly._berlekamp_massey) as bm:
+    real, streamed = gf2poly._berlekamp_massey, []
+
+    def recording(rows, width):
+        # the rows as Berlekamp-Massey consumes them, copied, since each is made for one step
+        seen = []
+        streamed.append(seen)
+        return real((seen.append(row.copy()) or row for row in rows), width)
+
+    with mock.patch.object(gf2poly, "_berlekamp_massey", recording):
         table = gf2poly._minimal_poly_table.__wrapped__(m)
     for cs in cosets:
         expected = _scalar_minimal_poly(f, cs.elements)
@@ -341,12 +393,12 @@ def test_minimal_poly_table_matches_scalar_expansion(m):
         assert table[cs.leader] == expected
     # each polynomial is kept once, at its coset's leader
     assert np.count_nonzero(table) == len(cosets)
-    # one pass over bit 0 of alpha^(e k), k < 2m, for the leader e of each coset
-    # unless it is the negation of one with a smaller leader
+    # one pass over bit 0 of alpha^(e k), k < 2m, streamed a row per k, for the leader e of
+    # each coset unless it is the negation of one with a smaller leader; below m = 14 one
+    # block of SETUP_BLOCK leaders holds them all
     kept = [cs.leader for cs in cosets if cs.leader <= f.n - max(cs.elements)]
-    assert bm.call_count == 1
-    (bits,), _ = bm.call_args
-    assert np.array_equal(bits, f.antilog_table[np.outer(np.arange(2 * m), kept) % f.n] & 1)
+    assert len(streamed) == 1
+    assert np.array_equal(np.array(streamed[0]), antilog(f)[np.outer(np.arange(2 * m), kept) % f.n] & 1)
 
 
 @pytest.mark.parametrize("m", range(8, 13))
@@ -394,7 +446,7 @@ def _linear_complexity(seq):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 1), min_size=10, max_size=10), min_size=1, max_size=6))
 def test_berlekamp_massey_finds_a_shortest_recurrence(seqs):
-    conns = gf2poly._berlekamp_massey(np.array(seqs, dtype=np.uint32).T).tolist()
+    conns = gf2poly._berlekamp_massey(np.array(seqs, dtype=np.uint32).T, len(seqs)).tolist()
     for seq, conn in zip(seqs, conns):
         order = _linear_complexity(seq)
         assert conn & 1 and conn.bit_length() - 1 <= order
@@ -407,8 +459,8 @@ def test_minimal_poly_table_certificate_trips_on_a_perturbed_connection_polynomi
     # a flipped x^1 coefficient keeps the degree, so only the root test trips on it
     real = gf2poly._berlekamp_massey
 
-    def perturbed(bits):
-        conn = real(bits)
+    def perturbed(rows, width):
+        conn = real(rows, width)
         row = len(conn) // 2
         conn[row] = 0 if fault == "zero" else conn[row] ^ 0b10
         return conn
