@@ -187,7 +187,7 @@ def _analysis_row(spec, a):
     }
 
 
-def _construct_text(report):
+def _construct_text(report, g):
     spec = report["spec"]
     verdict = report["theorem"]
     cert = report["bch"]
@@ -198,7 +198,7 @@ def _construct_text(report):
     ]
     gen = f"generator  degree {report['generator_degree']}, {report['generator_hex']}"
     if report["generator_degree"] <= 24:
-        gen += f"  ({gf2poly.pretty(gf2poly.from_hex(report['generator_hex']))})"
+        gen += f"  ({gf2poly.pretty(g)})"
     lines.append(gen)
     lines.append(f"duadic     {'yes (odd-like splitting, multiplier -1)' if report['duadic'] else 'no'}")
     if verdict["theorem"] == "none":
@@ -231,7 +231,7 @@ def cmd_construct(args):
     report = _construct_report(spec, a)
     row = {**_analysis_row(spec, a), "generator_hex": report["generator_hex"]}
     payload = {"command": "construct", "report": report}
-    return 0, payload, [row], CONSTRUCT_COLUMNS, lambda: _construct_text(report)
+    return 0, payload, [row], CONSTRUCT_COLUMNS, lambda: _construct_text(report, a.code.g)
 
 
 def _catalog_rows(r, t):

@@ -26,8 +26,8 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   polynomials P_c of an (m, r) once, and g = prod_{c in S} P_c and the
   cofactor prod_{c not in S} P_c of the check polynomial
   h = (x + 1) prod_{c not in S} P_c are subset products of them
-  (`code.from_class_polys`). `ClassPolys.product` splits the class indices
-  [0, r) in balanced halves and memoises the product of every subset it
+  (`code.from_class_polys`). `ClassPolys.product` splits a list of
+  classes in balanced halves and memoises the product of every list it
   meets, so the specs of one field share their sub-products and a
   polynomial of a catalog spec costs about one product of two halves.
 - Negation pairs the polynomials. n - j complements the m-bit expansion
@@ -59,7 +59,6 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   `check_poly`, which no command calls, holds the package's only division.
 """
 
-from bisect import bisect_left
 from functools import lru_cache, reduce
 
 from ._bits import from_bool, to_bool
@@ -312,7 +311,8 @@ def _leaders_product(leaders, n):
 
 class ClassPolys:
     """The class polynomials P_c, c in Z_r, of field(m), with a memo of
-    their subset products.
+    their subset products. Each is the product of the products of its two
+    halves, so the specs of one field share their sub-products.
 
     The memo lives as long as the set, which one command builds per (m, r).
     """
@@ -324,22 +324,13 @@ class ClassPolys:
 
     def product(self, classes):
         """prod_{c in classes} P_c for a strictly increasing sequence of classes."""
-        return self._product(tuple(classes), 0, len(self.polys))
-
-    def _product(self, classes, lo, hi):
-        """The product for classes inside [lo, hi): the product of the
-        products over [lo, mid) and [mid, hi), memoised by classes."""
+        classes = tuple(classes)
         if len(classes) < 2:
             return self.polys[classes[0]] if classes else 1
-        mid = (lo + hi) // 2
-        cut = bisect_left(classes, mid)
-        if cut == 0:
-            return self._product(classes, mid, hi)
-        if cut == len(classes):
-            return self._product(classes, lo, mid)
         found = self._memo.get(classes)
         if found is None:
-            found = mul(self._product(classes[:cut], lo, mid), self._product(classes[cut:], mid, hi))
+            half = len(classes) // 2
+            found = mul(self.product(classes[:half]), self.product(classes[half:]))
             self._memo[classes] = found
         return found
 
@@ -384,10 +375,6 @@ def check_poly(g, n):
 def to_hex(p):
     """Coefficient mask, LSB = constant term (x^3+x+1 -> '0xB')."""
     return f"{p:#X}".replace("0X", "0x")
-
-
-def from_hex(s):
-    return int(s, 16)
 
 
 def pretty(p):

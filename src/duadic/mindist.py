@@ -134,7 +134,7 @@ def _weight_blocks(c):
     cols = _generator_columns(c)[0].astype(np.int64)  # k <= 24: one word per column
     lo, hi = cols & ((1 << a) - 1), cols >> a
     # a power of two of rows, so at most 2^BLOCK_BITS signs unless one row has more
-    rows = 1 << max(0, min(k - a, BLOCK_BITS - a, ((1 << BLOCK_BITS) // n).bit_length() - 1))
+    rows = 1 << max(0, min(k - a, BLOCK_BITS - a))
     index = ((np.arange(rows)[:, None] << a) | lo).ravel()
     dtype = np.int16 if 2 * n < 1 << 15 else np.int32
     for first in range(0, 1 << (k - a), rows):

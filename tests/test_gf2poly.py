@@ -15,11 +15,11 @@ from duadic.gf2m import field
 from duadic.gf2poly import (
     check_poly,
     degree,
-    from_hex,
     generator_poly,
     minimal_poly,
     mul,
     pretty,
+    product,
     reciprocal,
     to_hex,
     x_pow_plus_one,
@@ -187,7 +187,6 @@ def test_eval_at_powers_matches_scalar():
 
 def test_hex_and_pretty():
     assert to_hex(0xB) == "0xB"
-    assert from_hex("0xB") == 11
     assert pretty(0xB) == "x^3 + x + 1"
     assert pretty(0) == "0"
     assert pretty(1) == "1"
@@ -494,6 +493,20 @@ def test_class_polys_build_one_class_of_each_negation_pair(r):
         classes = weight_classes(m, r)
         expected = [(classes[c].coset_leaders(), (1 << m) - 1) for c in range(r) if c <= (m - c) % r]
         assert [call.args for call in built.call_args_list] == expected
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_class_products_equal_the_plain_product_and_are_memoised(r):
+    # m = 2..9 covers r > m, where some classes are empty and their P_c is 1
+    for m in range(2, 10):
+        polys = gf2poly.class_polys(m, r)
+        for mask in range(1 << r):
+            S = tuple(c for c in range(r) if mask >> c & 1)
+            expected = product([polys.polys[c] for c in S])
+            assert polys.product(S) == expected
+            with mock.patch.object(gf2poly, "mul", wraps=gf2poly.mul) as again:
+                assert polys.product(S) == expected
+            assert again.call_count == 0
 
 
 def test_expand_roots_keeps_zero_coefficients_zero():

@@ -128,6 +128,22 @@ def test_transform_width_follows_n(low_bits, block_bits, max_low_bits, width):
     assert found == (d, witness, min_odd) and list(wd.counts) == counts
 
 
+@pytest.mark.parametrize("r, m, S, shape", [
+    (12, 11, (0, 2, 3, 4, 5, 6, 7, 8, 9, 11), (16, 64, 64)),  # the k = 23 distance code, [2047, 23]
+    (16, 17, tuple(range(1, 16)), (1, 512, 256)),  # the [131071, 18] golden code: one row of 2^17 entries
+    (2, 5, (1,), (16, 64, 64)),  # [31, 16]
+])
+def test_blocks_hold_at_most_block_bits_signs_or_one_row(r, m, S, shape):
+    c = _code(r, m, S, unchecked=True)
+    with mock.patch.object(mindist, "_wht", wraps=mindist._wht) as wht:
+        blocks = sum(1 for _ in mindist._weight_blocks(c))
+    shapes = {call.args[0].shape for call in wht.call_args_list}
+    assert shapes == {shape} and wht.call_count == blocks
+    rows, width = shape[0], shape[1] * shape[2]
+    # the n column signs of a row fit in its 2^a entries, so a block also holds at most 2^BLOCK_BITS of them
+    assert c.n <= width and (rows * width <= 1 << mindist.BLOCK_BITS or rows == 1)
+
+
 def test_determinism_across_transform_blockings():
     # the result is the same on repeated calls and for every division of the
     # message space into (LOW_BITS, BLOCK_BITS) transform blocks
