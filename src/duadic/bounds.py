@@ -15,8 +15,9 @@ error it raises, and the theorem classifier in `pairs` asks the gap alone.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._frozen import frozen
 
 LEMMA_IDS = ("L3", "L4", "L5", "L6")
 SIDES = ("S", "S'")
@@ -26,7 +27,7 @@ class HypothesisError(ValueError):
     """A lemma was invoked on a spec outside its stated hypotheses."""
 
 
-@dataclass(frozen=True)
+@frozen
 class BchCertificate:
     """A maximal arithmetic progression {start + i*v} inside a defining set.
 

@@ -6,13 +6,12 @@ set T; T fixes the length n = 2^m - 1, the field GF(2^m) and k = n - |T|.
 Codewords and matrix rows are int bitvectors, bit i = coordinate c_i.
 """
 
-from dataclasses import dataclass
-
 from . import gf2poly
+from ._frozen import frozen
 from .cyclotomic import DefiningSet, defining_set
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclicCode:
     """[n, k] binary cyclic code with generator g, check polynomial
     h = (x^n + 1) / g and root-exponent set T; g has the roots alpha^i,
@@ -47,7 +46,7 @@ class CyclicCode:
         return gf2poly.mul(q, self.g) == word
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtendedCode:
     """The base code lengthened by one overall parity coordinate at index n."""
 

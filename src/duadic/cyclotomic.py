@@ -7,11 +7,11 @@ the BCH run scans of `bounds.max_ap_run`, which AND rotations of the
 bitmap.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._bits import from_bool as _bool_to_bits
 from ._bits import to_bool as _bits_to_bool
+from ._frozen import frozen
 from ._numpy import np
 from .gf2m import M_MAX, M_MIN, SETUP_BLOCK
 
@@ -56,7 +56,7 @@ def leaders_of_z_n(m):
     return leaders
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclotomicCoset:
     """Orbit of s under doubling mod n; leader is the smallest member."""
 
@@ -84,7 +84,7 @@ def coset(s, n):
     return CyclotomicCoset(n=n, leader=orbit[0], elements=tuple(orbit))
 
 
-@dataclass(frozen=True)
+@frozen
 class DefiningSet:
     """A subset of Z_n, n = 2^m - 1, closed under doubling, as an n-bit bitmap."""
 
@@ -156,7 +156,7 @@ def check_r(r):
         raise ValueError(f"r must be at most {2 * M_MAX}, got {r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightClassSpec:
     """Parameters (r, m, S) selecting the residue classes of w_2 that form T.
 
@@ -204,16 +204,18 @@ class WeightClassSpec:
 
 @lru_cache(maxsize=64)
 def _weight_class_bitmaps(m, r):
-    """Bitmaps W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, one per class c."""
+    """Bitmaps W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, one per class c.
+
+    Built by doubling on ints: the residues 2^k..2^(k+1) - 1 are the
+    residues below 2^k plus 2^k, one weight higher, so after step k each
+    class c takes class c - 1 shifted up by 2^k. After m steps the bitmaps
+    cover 0..2^m - 1; residue 0 and residue n = 2^m - 1 are cleared.
+    """
+    masks = [1] + [0] * (r - 1)
+    for k in range(m):
+        masks = [masks[c] | masks[c - 1] << (1 << k) for c in range(r)]
     n = (1 << m) - 1
-    w = np.bitwise_count(np.arange(n, dtype=np.uint32))
-    w %= np.uint8(r)
-    masks = []
-    for c in range(r):
-        arr = w == c
-        arr[0] = False  # j ranges over 1..n-1
-        masks.append(_bool_to_bits(arr))
-    return tuple(masks)
+    return tuple(mask & ((1 << n) - 2) for mask in masks)
 
 
 def defining_set(spec):

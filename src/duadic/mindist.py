@@ -11,9 +11,9 @@ only the redundancy part of its reduced rows.
 
 import numbers
 import random
-from dataclasses import dataclass
 
 from ._bits import from_bool
+from ._frozen import frozen
 from ._numpy import np
 from .bounds import best_certificate
 from .code import ExtendedCode
@@ -26,7 +26,7 @@ PAIR_BLOCK_WORDS = 1 << 13  # uint64 words (64 KB) per block of row pairs, and p
 ISD_MEMORY_BUDGET = 1 << 30  # bytes: packed generator rows and columns, a batch of permuted columns, one trial's rows
 
 
-@dataclass(frozen=True)
+@frozen
 class CertifiedBound:
     """Minimum-distance interval [lower, upper] with its evidence.
 
@@ -66,7 +66,7 @@ class CertifiedBound:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightDistribution:
     """Counts A_w of codewords of each weight w = 0..n."""
 

@@ -6,9 +6,9 @@ A family applies when its lemma's hypotheses hold for S or for S'; those
 hypotheses are stated once, in `bounds.lemma_hypothesis_gap`.
 """
 
-from dataclasses import asdict, dataclass
 from itertools import product
 
+from ._frozen import frozen
 from .bounds import lemma_hypothesis_gap, lemma_window
 from .cyclotomic import check_r
 
@@ -32,7 +32,7 @@ R8_REFERENCE_SETS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class TheoremVerdict:
     """Predicted lower bounds for a classified spec.
 
@@ -52,7 +52,7 @@ class TheoremVerdict:
     best_d_lower: int | None
 
     def to_json(self):
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 _NO_VERDICT = TheoremVerdict("none", None, None, None, None, None, None, None)

@@ -2,9 +2,12 @@
 
 Run from anywhere: python tests/large_outputs.py
 
-Each op in OPS runs as one `python -m duadic.cli` process on this
-checkout's src. The script prints the op's wall time, peak RSS and minor
-page faults, and checks the sha256 of its stdout where OPS gives one:
+First the script prints the start-up that every command pays: the median
+wall time and peak RSS of STARTUP_RUNS fresh `import duadic.cli`
+processes, and the number of modules that import adds. Then each op in
+OPS runs as one `python -m duadic.cli` process on this checkout's src.
+The script prints the op's wall time, peak RSS and minor page faults,
+and checks the sha256 of its stdout where OPS gives one:
 
 - m = 20, the largest field (52487 cosets), is pinned nowhere else:
   `construct` and mindist's dual code. `construct` at m = 19 runs next
@@ -24,14 +27,15 @@ with bit n - 1 flipped.
 
 The measures are printed, not bounded, because runner speed and memory
 vary; the fault count repeats closely from run to run on one machine.
-Exit status: 0 when every op exits 0, every digest matches and the m = 20
-checks hold; 1 otherwise. pytest does not collect this file (its name
-does not start with test_).
+Exit status: 0 when every process exits 0, every digest matches and the
+m = 20 checks hold; 1 otherwise. pytest does not collect this file (its
+name does not start with test_).
 """
 
 import hashlib
 import os
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -52,19 +56,36 @@ OPS = [
     ("verify-lemmas -r 16 -m 9,11,13,15,17,19", "140a852bd2e3d09f0e169808dec0aa1cba402177d2a6ab7d53bc858e1c9d2b57"),
     ("table -r 16 -S all -m 9,11,13", None),
 ]
+STARTUP_RUNS = 5
+STARTUP = "import sys; before = len(sys.modules); import duadic.cli; print(len(sys.modules) - before)"
+
+
+def spawn(argv):
+    """Exit code, stdout, wall seconds, peak RSS in MB and minor page faults
+    of one process on this checkout's src."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen does not wait for it again
+    return proc.returncode, out, time.perf_counter() - start, usage.ru_maxrss / 1024, usage.ru_minflt  # kB on Linux
 
 
 def run(command):
     """Exit code, stdout sha256, wall seconds, peak RSS in MB and minor page
     faults of one duadic.cli process writing JSON."""
-    argv = [sys.executable, "-m", "duadic.cli", *command.split(), "--format", "json"]
-    start = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)))
-    with proc.stdout:
-        digest = hashlib.sha256(proc.stdout.read()).hexdigest()
-    _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen does not wait for it again
-    return proc.returncode, digest, time.perf_counter() - start, usage.ru_maxrss / 1024, usage.ru_minflt  # kB on Linux
+    code, out, wall, peak_mb, faults = spawn([sys.executable, "-m", "duadic.cli", *command.split(), "--format", "json"])
+    return code, hashlib.sha256(out).hexdigest(), wall, peak_mb, faults
+
+
+def startup_failures():
+    """Print the median wall time and peak RSS of fresh `import duadic.cli`
+    processes and the modules the import adds; the runs that fail."""
+    codes, outs, walls, peaks, _ = zip(*(spawn([sys.executable, "-c", STARTUP]) for _ in range(STARTUP_RUNS)))
+    print(f"import duadic.cli: {statistics.median(walls) * 1e3:.0f} ms wall, {statistics.median(peaks):.1f} MB peak RSS "
+          f"(medians of {STARTUP_RUNS} fresh processes), {outs[-1].decode().strip()} modules added")
+    return [f"import duadic.cli: exit {code}" for code in codes if code]
 
 
 def m20_failures():
@@ -85,7 +106,7 @@ def m20_failures():
 
 
 def main():
-    failed = []
+    failed = startup_failures()
     for command, expected in OPS:
         code, digest, wall, peak_mb, faults = run(command)
         print(f"{command}: {wall:.2f} s wall, {peak_mb:.1f} MB peak RSS, {faults} minor faults, sha256 {digest[:16]}")

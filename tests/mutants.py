@@ -135,6 +135,13 @@ MUTANTS = [
         "if False:",
         "test_gf2poly.py",
     ),
+    Mutant(
+        "frozen value types: __setattr__ raises",
+        "_frozen.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        "test_frozen.py",
+    ),
 ]
 
 

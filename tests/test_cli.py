@@ -777,3 +777,20 @@ print(json.dumps(loaded))
 def test_numpy_commands_never_import_numpy_ma():
     # np.unique imports numpy.ma on first use; the minimal polynomial table does without it
     assert json.loads(_run_fresh(_NUMPY_MA_MODULE)) == [[0, True, False]] * 3
+
+
+_IMPORT_CHAIN = """
+import json, sys
+chain = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+loaded = []
+for module in ("duadic", "duadic.cli"):
+    __import__(module)
+    loaded.append([name for name in chain if name in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_import_loads_no_dataclasses_chain():
+    # every command starts a fresh interpreter; dataclasses and the inspect, ast and dis it imports cost each about
+    # 11 ms, so the value types are built without them
+    assert json.loads(_run_fresh(_IMPORT_CHAIN)) == [[], []]

@@ -54,6 +54,17 @@ def test_defining_set_examples():
     assert 0 not in t0 and 0 not in t1
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_weight_class_bitmaps_follow_the_w2_definition(m):
+    # W_c = {1 <= j <= n-1 : w_2(j) = c mod r}, with r > m too, where the classes of weights above m are empty
+    n = (1 << m) - 1
+    for r in (2, 4, 6, 8, 10, 16, 40):
+        expected = [0] * r
+        for j in range(1, n):
+            expected[j.bit_count() % r] |= 1 << j
+        assert cyclotomic._weight_class_bitmaps(m, r) == tuple(expected)
+
+
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
 @pytest.mark.parametrize("r", [2, 4, 8])
 def test_partition_and_closure(m, r):

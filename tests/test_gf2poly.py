@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duadic import cyclotomic, gf2m, gf2poly
-from duadic.code import dual, from_defining_set
+from duadic.code import CyclicCode, dual, from_defining_set
 from duadic.cyclotomic import CyclotomicCoset, DefiningSet, WeightClassSpec, coset, defining_set
 from duadic.gf2m import field
 from duadic.gf2poly import (
@@ -563,4 +562,4 @@ def test_dual_defining_set_is_complement_of_negation(spec):
 def test_dual_rejects_a_generator_that_is_not_the_product():
     c = from_defining_set(defining_set(WeightClassSpec(r=2, m=5, S=(1,))))
     with pytest.raises(AssertionError, match="x\\^n \\+ 1"):
-        dual(replace(c, g=c.g ^ 0b10))
+        dual(CyclicCode(g=c.g ^ 0b10, h=c.h, T=c.T))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice
 from operator import xor
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from duadic import cli, mindist
 from duadic._bits import from_bool, to_bool
+from duadic.bounds import BchCertificate
 from duadic.code import dual, extend, from_defining_set
 from duadic.cyclotomic import DefiningSet, WeightClassSpec, defining_set
 from duadic.mindist import (
@@ -606,7 +607,13 @@ def test_below_bch_guard_trips_on_a_certificate_above_the_generator_weight(monke
     # at effort 0 the witness is g itself; a certificate claiming d >= wt(g) + 1 contradicts it
     c = _code(2, 7, (1,))
     real = mindist.best_certificate
-    monkeypatch.setattr(mindist, "best_certificate", lambda *args: replace(real(*args), d_lower=c.g.bit_count() + 1))
+
+    def overclaimed(*args):
+        cert = real(*args)
+        return BchCertificate(v=cert.v, start=cert.start, run_length=cert.run_length, d_lower=c.g.bit_count() + 1,
+                              gamma_exponent=cert.gamma_exponent)
+
+    monkeypatch.setattr(mindist, "best_certificate", overclaimed)
     message = "found a codeword below the BCH lower bound"
     with pytest.raises(AssertionError, match=message):
         bounded_min_distance(c, effort=0)
