@@ -7,17 +7,17 @@ set or coset fixes m, and the field is field(m). The path that builds a
 polynomial costs O(n log^2 n) rather than O(n^2):
 
 - The minimal polynomials of all cosets of GF(2^m) are found together
-  and kept per m (`_minimal_poly_table`): for one leader e of each pair
-  {C, -C}, one vectorised Berlekamp-Massey pass (Massey, IEEE Trans. IT
-  15, 1969) over the 2m bits s_k = bit 0 of alpha^(e k) gives the
-  minimal polynomial of alpha^(-e), and its reversal is that of
-  alpha^e. The rows alpha^(e k) are streamed off the field's antilog
-  table, which the build makes and frees, so no n-entry field table
-  outlives it. Each row is certified by its degree and a root. The table
-  holds each polynomial once, at its coset's leader, and 0 elsewhere.
-  The leader array is kept per m (`cyclotomic.leaders_of_z_n`);
-  `DefiningSet.coset_leaders` and `class_polys` take their leaders off
-  it by mask.
+  (`_minimal_poly_table`): for one leader e of each pair {C, -C}, one
+  vectorised Berlekamp-Massey pass (Massey, IEEE Trans. IT 15, 1969)
+  over the 2m bits s_k = bit 0 of alpha^(e k) gives the minimal
+  polynomial of alpha^(-e), and its reversal is that of alpha^e. The
+  rows alpha^(e k) are streamed off the field's antilog table, which the
+  build makes and frees, so no n-entry field table outlives it. Each row
+  is certified by its degree and a root. The table holds each polynomial
+  once, at its coset's leader, and 0 elsewhere. It is cached per m until
+  `class_polys` drops it. The leader array is kept per m
+  (`cyclotomic.leaders_of_z_n`); `DefiningSet.coset_leaders` and
+  `class_polys` take their leaders off it by mask.
 - `generator_poly(T)` multiplies the minimal polynomials of the cosets
   of T, each read by `minimal_poly(cs)`, through a balanced product tree.
 - The code of a weight-class spec (r, m, S) needs no per-coset product.
@@ -33,9 +33,15 @@ polynomial costs O(n log^2 n) rather than O(n^2):
 - Negation pairs the polynomials. n - j complements the m-bit expansion
   of j, so -W_c = W_{(m-c) mod r}, and the minimal polynomial of
   alpha^{-j} is the reciprocal of that of alpha^j. `class_polys` builds
-  one class of each pair {c, (m-c) mod r} and reverses it for the other
-  (at odd m no class pairs with itself). It reads the leaders of a class
-  off the leaders of Z_n by their weight mod r.
+  one class of each pair {c, (m-c) mod r} and reverses it for the other.
+  A class that pairs with itself (2c = m mod r, only at even m) holds
+  both cosets of each pair {C, -C}: it reads the one with the smaller
+  leader into Q and the self-negated cosets into R, and is
+  Q rev(Q) R. The leaders of a class are the leaders of Z_n of its
+  weight mod r, and the leader of -C is n - max(C)
+  (`_negated_leaders`). Every minimal polynomial is read before the first
+  product, and then the table is dropped; a later `minimal_poly` builds
+  it again.
 - `mul` picks its method by operand size alone. Shift-xor costs one
   big-int shift and xor per set bit of the sparser operand: quadratic, but
   with no fixed cost, so below FFT_MIN_BITS it beats the transform. That
@@ -169,16 +175,16 @@ def _minimal_poly_table(m):
     table of bitmasks: the entry at a coset leader j is the minimal
     polynomial of alpha^j, and every other entry is 0.
 
-    Of each pair {C, -C} the coset whose leader e is at most n - max(C)
-    is computed, by `_minimal_polys` over SETUP_BLOCK leaders at a time.
-    Its reversal goes to n - max(C), the leader of -C. The field's
-    antilog table is built for this and freed before the table is
-    allocated, so no n-entry field table outlives the build.
+    Of each pair {C, -C} the coset whose leader e is at most the leader
+    n - max(C) of -C (`_negated_leaders`) is computed, by `_minimal_polys`
+    over SETUP_BLOCK leaders at a time. Its reversal goes to the leader of
+    -C. The field's antilog table is built for this and freed before the
+    table is allocated, so no n-entry field table outlives the build.
     """
     n = (1 << m) - 1
     leaders = leaders_of_z_n(m)
-    top = reduce(np.maximum, rotations(leaders, m))
-    half = leaders <= n - top
+    negated = _negated_leaders(leaders, m)
+    half = leaders <= negated
     exps = leaders[half]
     # m doublings run round a coset of size d exactly m / d times
     sizes = m // sum(x == exps for x in rotations(exps, m))
@@ -191,8 +197,15 @@ def _minimal_poly_table(m):
     table = np.zeros(n, dtype=np.uint32)
     table[exps] = polys
     # row 0 is the coset {0}, its own negation
-    table[n - top[half][1:]] = _reversed(polys, sizes)[1:]
+    table[negated[half][1:]] = _reversed(polys, sizes)[1:]
     return table
+
+
+def _negated_leaders(leaders, m):
+    """The leader of -C for the coset C of each leader in an int32 array:
+    n - max(C), max(C) the largest of the leader's m rotations (n, not 0,
+    for the coset {0}). A leader equal to it heads a self-negated coset."""
+    return (1 << m) - 1 - reduce(np.maximum, rotations(leaders, m))
 
 
 def _minimal_polys(antilog, exps, sizes, m):
@@ -301,12 +314,12 @@ def product(polys):
 
 def generator_poly(T):
     """Product of the minimal polynomials of the cosets in T; deg = |T|."""
-    return _leaders_product(T.coset_leaders(), T.n)
+    return product(_coset_polys(T.coset_leaders(), T.n))
 
 
-def _leaders_product(leaders, n):
-    """Product of the minimal polynomials of the cosets mod n with the given leaders."""
-    return product([minimal_poly(coset(leader, n)) for leader in leaders])
+def _coset_polys(leaders, n):
+    """The minimal polynomials of the cosets mod n with the given leaders, each read by `minimal_poly`."""
+    return [minimal_poly(coset(leader, n)) for leader in leaders]
 
 
 class ClassPolys:
@@ -343,19 +356,43 @@ def class_polys(m, r):
     Doubling keeps w_2, so the coset leaders of W_c are the nonzero
     leaders of Z_n of weight c mod r. -W_c = W_{(m-c) mod r}, so of each
     pair of classes only the smaller index is built and its partner is its
-    reciprocal; a class that is its own partner (2c = m mod r, only at even
-    m) is built directly.
+    reciprocal. A class that is its own partner (2c = m mod r, only at even
+    m) holds both cosets of each pair {C, -C}: only the one with the
+    smaller leader is read, into Q, and the self-negated cosets into R, so
+    P_c = Q rev(Q) R.
+
+    Every minimal polynomial the classes need is read before any product,
+    and then the minimal-polynomial table is dropped, so it does not sit
+    under the products' FFT buffers.
     """
+    n = (1 << m) - 1
     leaders = leaders_of_z_n(m)[1:]
     weights = np.bitwise_count(leaders) % r
-    polys = [None] * r
+    negated = _negated_leaders(leaders, m)
+    leaves = {}  # c: the minimal polynomials of Q, and of R (None for a class with a partner)
     for c in range(r):
         partner = (m - c) % r
-        if c <= partner:
-            polys[c] = _leaders_product(leaders[weights == c].tolist(), (1 << m) - 1)
-            if partner != c:
-                polys[partner] = reciprocal(polys[c])
+        mine = weights == c
+        if c < partner:
+            leaves[c] = _coset_polys(leaders[mine].tolist(), n), None
+        elif c == partner:
+            half, self_negated = leaders[mine & (leaders < negated)], leaders[mine & (leaders == negated)]
+            leaves[c] = _coset_polys(half.tolist(), n), _coset_polys(self_negated.tolist(), n)
+    _minimal_poly_table.cache_clear()
+    polys = [None] * r
+    for c, (q_leaves, r_leaves) in leaves.items():
+        polys[c] = _class_poly(q_leaves, r_leaves)
+        if r_leaves is None:
+            polys[(m - c) % r] = reciprocal(polys[c])
     return ClassPolys(m, polys)
+
+
+def _class_poly(q_leaves, r_leaves):
+    """A class polynomial from the minimal polynomials `class_polys` read
+    for it: Q = product(q_leaves), or Q rev(Q) R for a self-paired class,
+    R = product(r_leaves) over its self-negated cosets."""
+    q = product(q_leaves)
+    return q if r_leaves is None else mul(q, mul(reciprocal(q), product(r_leaves)))
 
 
 def check_poly(g, n):

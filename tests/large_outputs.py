@@ -10,8 +10,11 @@ The script prints the op's wall time, peak RSS and minor page faults,
 and checks the sha256 of its stdout where OPS gives one:
 
 - m = 20, the largest field (52487 cosets), is pinned nowhere else:
-  `construct` and mindist's dual code. `construct` at m = 19 runs next
-  to it; the benchmark's construct-large workload reports its peak.
+  `construct` and mindist's dual code. At r = 2 both classes are their
+  own negation partners; `construct -r 4 -m 20 -S 0,1` builds a
+  self-paired class next to a partner pair, whose second class is the
+  reciprocal of the first. `construct` at m = 19 runs next to them; the
+  benchmark's construct-large workload reports its peak.
 - one Lee-Brickell trial on the [2047, 1024] code covers the batched
   elimination and the scan over the 1023-bit redundancy parts at the
   largest k the search is run at. Its m = 11 digest also pins the seeded
@@ -50,6 +53,7 @@ from duadic.gf2poly import class_polys, mul  # noqa: E402
 
 OPS = [
     ("construct -r 2 -m 20 -S 1 --unchecked", "ea3b3408da1f25d18c03d73927a972eea8dcf13a5ede9608fbc7dad287c6c665"),
+    ("construct -r 4 -m 20 -S 0,1 --unchecked", "0c7b82b8b6b5903b8a8db2bb1329309c2a7f6d079a0181fb595cc70a8125dd7e"),
     ("construct -r 2 -m 19 -S 1", None),
     ("mindist -r 2 -m 20 -S 1 --unchecked --code dual", "f383939f346736bca5cb95e69f3a3516546db78dba8748acc9245678d0352a6a"),
     ("mindist -r 2 -m 11 -S 1 --effort 1 --seed 1", "b5d36dc4cec1c3430432f03249586a3eacb59a488ac92fad4c7bf0023806ec32"),

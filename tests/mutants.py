@@ -129,6 +129,20 @@ MUTANTS = [
         "test_gf2poly.py",
     ),
     Mutant(
+        "class_polys: self-negated factor R dropped",
+        "gf2poly.py",
+        "mul(q, mul(reciprocal(q), product(r_leaves)))",
+        "mul(q, reciprocal(q))",
+        "test_gf2poly.py",
+    ),
+    Mutant(
+        "class_polys: table release dropped",
+        "gf2poly.py",
+        "_minimal_poly_table.cache_clear()",
+        "pass",
+        "test_gf2poly.py",
+    ),
+    Mutant(
         "mul: FFT rounding guard",
         "gf2poly.py",
         "if not worst < ROUNDING_TOLERANCE:",

@@ -259,15 +259,15 @@ def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
 
 
 def _count_class_products(monkeypatch):
-    """The list that each product of class leaders, `gf2poly._leaders_product`, appends its leaders to."""
+    """The list that each product of one class's leaves, `gf2poly._class_poly`, appends its leaves to."""
     calls = []
-    leaders_product = gf2poly._leaders_product
+    class_poly = gf2poly._class_poly
 
-    def counted(leaders, n):
-        calls.append(leaders)
-        return leaders_product(leaders, n)
+    def counted(q_leaves, r_leaves):
+        calls.append((q_leaves, r_leaves))
+        return class_poly(q_leaves, r_leaves)
 
-    monkeypatch.setattr(gf2poly, "_leaders_product", counted)
+    monkeypatch.setattr(gf2poly, "_class_poly", counted)
     return calls
 
 

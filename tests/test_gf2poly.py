@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duadic import cyclotomic, gf2m, gf2poly
-from duadic.code import CyclicCode, dual, from_defining_set
+from duadic.code import CyclicCode, dual, from_class_polys, from_defining_set
 from duadic.cyclotomic import CyclotomicCoset, DefiningSet, WeightClassSpec, coset, defining_set
 from duadic.gf2m import field
 from duadic.gf2poly import (
@@ -483,15 +483,57 @@ def test_minimal_poly_table_is_kept_once_per_m():
 
 @pytest.mark.parametrize("r", range(2, 17, 2))
 def test_class_polys_build_one_class_of_each_negation_pair(r):
-    # m = 2..13 covers self-paired classes (2c = m mod r, even m) and empty ones (r > m)
+    # of each pair of classes one is built, and of each pair of cosets {C, -C} in a self-paired
+    # class one is read; every read comes before the first product, which runs with the
+    # minimal-polynomial table dropped. m = 2..13 covers self-paired classes (2c = m mod r, even
+    # m), self-negated cosets and empty classes (r > m)
     for m in range(2, 14):
-        with mock.patch.object(gf2poly, "_leaders_product", wraps=gf2poly._leaders_product) as built:
+        n = (1 << m) - 1
+        events = []
+
+        def read(cs):
+            events.append(("read", cs.leader))
+            return minimal_poly(cs)
+
+        def multiply(a, b):
+            events.append(("mul", gf2poly._minimal_poly_table.cache_info().currsize))
+            return mul(a, b)
+
+        with mock.patch.object(gf2poly, "minimal_poly", read), mock.patch.object(gf2poly, "mul", multiply):
             found = gf2poly.class_polys(m, r)
+        assert gf2poly._minimal_poly_table.cache_info().currsize == 0
         assert (found.m, found.r, found.polys) == (m, r, class_polys_direct(m, r))
-        # the leaders masked by weight are those of W_c, for c the smaller of each pair {c, (m - c) mod r}
-        classes = weight_classes(m, r)
-        expected = [(classes[c].coset_leaders(), (1 << m) - 1) for c in range(r) if c <= (m - c) % r]
-        assert [call.args for call in built.call_args_list] == expected
+        # the smaller class of a partner pair {c, (m - c) mod r} reads all its cosets, its partner
+        # none; a self-paired class reads the smaller leader of each pair {C, -C}, and the
+        # self-negated cosets
+        expected = []
+        for c, w in enumerate(weight_classes(m, r)):
+            partner = (m - c) % r
+            for e in w.coset_leaders():
+                negated = min((n - j) % n for j in coset(e, n).elements)
+                if c < partner or (c == partner and e <= negated):
+                    expected.append(e)
+        assert sorted(x for kind, x in events if kind == "read") == sorted(expected)
+        # every read comes before the first product, which runs with the table dropped
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["read"] * kinds.count("read") + ["mul"] * kinds.count("mul")
+        assert all(held == 0 for kind, held in events if kind == "mul")
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_the_library_rebuilds_the_table_that_class_polys_dropped(m):
+    n, r = (1 << m) - 1, 4
+    polys = gf2poly.class_polys(m, r)
+    assert gf2poly._minimal_poly_table.cache_info().currsize == 0
+    oracle = minimal_poly_table(m)
+    assert [minimal_poly(coset(e, n)) for e in DefiningSet.full(n).coset_leaders()] == [
+        oracle[e] for e in DefiningSet.full(n).coset_leaders()
+    ]
+    assert polys.polys == class_polys_direct(m, r)  # `generator_poly` over each W_c
+    for S in [(0,), (1, 2), (0, 1, 3)]:
+        spec = WeightClassSpec(r=r, m=m, S=S, unchecked=True)
+        assert from_defining_set(defining_set(spec)) == from_class_polys(spec, polys)
+    assert gf2poly._minimal_poly_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("r", [2, 4, 8])
