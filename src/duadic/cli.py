@@ -104,8 +104,6 @@ def _make_spec(r, m, s_text, unchecked):
 def _parse_v_candidates(text, n):
     if text is None:
         return None
-    if n < 3:
-        raise UsageError("--v needs a code length of at least 3")
     vs = _parse_int_list(text, "--v")
     if not vs:
         raise UsageError("--v needs at least one candidate difference")

@@ -7,6 +7,7 @@ the BCH run scans of `bounds.max_ap_run`, which AND rotations of the
 bitmap.
 """
 
+import numbers
 from functools import lru_cache
 
 from ._bits import from_bool as _bool_to_bits
@@ -150,7 +151,7 @@ def check_r(r):
     """Raise ValueError unless r, the number of weight classes, is a
     positive even integer of at most 2 * M_MAX. The weights of 1..n-1 lie
     below m <= M_MAX, so a larger r only adds empty classes."""
-    if r < 2 or r % 2:
+    if not isinstance(r, numbers.Integral) or r < 2 or r % 2:
         raise ValueError(f"r must be a positive even integer, got {r}")
     if r > 2 * M_MAX:
         raise ValueError(f"r must be at most {2 * M_MAX}, got {r}")
@@ -162,7 +163,8 @@ class WeightClassSpec:
 
     Checked specs require odd m and |S| = r/2, the regime where duadic
     structure can hold; unchecked=True relaxes both for exploration and
-    disables theorem classification.
+    disables theorem classification. An r, m or member of S that is not an
+    integer raises ValueError, as an out-of-range one does.
     """
 
     r: int
@@ -176,9 +178,11 @@ class WeightClassSpec:
             raise ValueError(f"duplicate residues in S={self.S}")
         object.__setattr__(self, "S", s)
         check_r(self.r)
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m}")
         if not M_MIN <= self.m <= M_MAX:
             raise ValueError(f"m={self.m} outside supported range {M_MIN}..{M_MAX}")
-        if any(not 0 <= c < self.r for c in s):
+        if any(not isinstance(c, numbers.Integral) or not 0 <= c < self.r for c in s):
             raise ValueError(f"S={s} must contain residues in Z_{self.r}")
         if len(s) >= self.r:
             raise ValueError("S must be a proper subset of Z_r")

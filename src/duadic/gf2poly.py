@@ -7,15 +7,17 @@ set or coset fixes m, and the field is field(m). The path that builds a
 polynomial costs O(n log^2 n) rather than O(n^2):
 
 - The minimal polynomials of all cosets of GF(2^m) are found together
-  (`_minimal_poly_table`): for one leader e of each pair {C, -C}, one
-  vectorised Berlekamp-Massey pass (Massey, IEEE Trans. IT 15, 1969)
-  over the 2m bits s_k = bit 0 of alpha^(e k) gives the minimal
-  polynomial of alpha^(-e), and its reversal is that of alpha^e. The
-  rows alpha^(e k) are streamed off the field's antilog table, which the
-  build makes and frees, so no n-entry field table outlives it. Each row
-  is certified by its degree and a root. The table holds each polynomial
-  once, at its coset's leader, and 0 elsewhere. It is cached per m until
-  `class_polys` drops it. The leader array is kept per m
+  (`_minimal_poly_table`): for the smaller leader e of each pair
+  {C, -C}, one vectorised Berlekamp-Massey pass (Massey, IEEE Trans. IT
+  15, 1969) over the 2m bits s_k = bit 0 of alpha^(e k) gives the
+  minimal polynomial of alpha^(-e), and the table keeps it as it is, at
+  the leader of -C. The rows alpha^(e k) are streamed off the field's
+  antilog table, which the build makes and frees, so no n-entry field
+  table outlives it. Each row is certified by its degree and a root. The
+  table holds one polynomial of each pair, at its larger leader, and 0
+  elsewhere; `minimal_poly` reads a smaller leader's polynomial as the
+  reciprocal of its partner's. It is cached per m until `class_polys`
+  drops it. The leader array is kept per m
   (`cyclotomic.leaders_of_z_n`); `DefiningSet.coset_leaders` and
   `class_polys` take their leaders off it by mask.
 - `generator_poly(T)` multiplies the minimal polynomials of the cosets
@@ -32,16 +34,16 @@ polynomial costs O(n log^2 n) rather than O(n^2):
   polynomial of a catalog spec costs about one product of two halves.
 - Negation pairs the polynomials. n - j complements the m-bit expansion
   of j, so -W_c = W_{(m-c) mod r}, and the minimal polynomial of
-  alpha^{-j} is the reciprocal of that of alpha^j. `class_polys` builds
-  one class of each pair {c, (m-c) mod r} and reverses it for the other.
-  A class that pairs with itself (2c = m mod r, only at even m) holds
-  both cosets of each pair {C, -C}: it reads the one with the smaller
-  leader into Q and the self-negated cosets into R, and is
-  Q rev(Q) R. The leaders of a class are the leaders of Z_n of its
-  weight mod r, and the leader of -C is n - max(C)
-  (`_negated_leaders`). Every minimal polynomial is read before the first
-  product, and then the table is dropped; a later `minimal_poly` builds
-  it again.
+  alpha^{-j} is the reciprocal of that of alpha^j. `class_polys` reads,
+  for each class c, the cosets with the larger leader of their pair
+  {C, -C} into Q_c and the self-negated cosets into R_c, and builds
+  every class by one rule, P_c = Q_c rev(Q_{(m-c) mod r}) R_c, for c at
+  most its partner; the larger partner is rev(P_c). R_c is 1 unless c
+  pairs with itself (2c = m mod r, only at even m). The leaders of a
+  class are the leaders of Z_n of its weight mod r, and the leader of -C
+  is n - max(C) (`_negated_leaders`). Each read is one of the table's
+  nonzero entries, every one is made before the first product, and then
+  the table is dropped; a later `minimal_poly` builds it again.
 - `mul` picks its method by operand size alone. Shift-xor costs one
   big-int shift and xor per set bit of the sparser operand: quadratic, but
   with no fixed cost, so below FFT_MIN_BITS it beats the transform. That
@@ -171,15 +173,18 @@ def x_pow_plus_one(n):
 
 @lru_cache(maxsize=None)
 def _minimal_poly_table(m):
-    """Minimal polynomial of the cosets of field(m), as an n-entry uint32
-    table of bitmasks: the entry at a coset leader j is the minimal
-    polynomial of alpha^j, and every other entry is 0.
+    """Minimal polynomials of the cosets of field(m), as an n-entry uint32
+    table of bitmasks: of each pair {C, -C}, the entry at the larger
+    leader is the minimal polynomial of its coset, and every other entry,
+    the smaller leader's included, is 0. A self-negated coset has its own
+    polynomial at its leader.
 
-    Of each pair {C, -C} the coset whose leader e is at most the leader
-    n - max(C) of -C (`_negated_leaders`) is computed, by `_minimal_polys`
-    over SETUP_BLOCK leaders at a time. Its reversal goes to the leader of
-    -C. The field's antilog table is built for this and freed before the
-    table is allocated, so no n-entry field table outlives the build.
+    For the smaller leader e of each pair, at most the leader n - max(C)
+    of -C (`_negated_leaders`), `_minimal_polys` computes, SETUP_BLOCK
+    leaders at a time, the minimal polynomial of alpha^(-e), and it goes to
+    the leader of -C. The field's antilog table is built for this and freed
+    before the table is allocated, so no n-entry field table outlives the
+    build.
     """
     n = (1 << m) - 1
     leaders = leaders_of_z_n(m)
@@ -195,9 +200,7 @@ def _minimal_poly_table(m):
     )
     del antilog
     table = np.zeros(n, dtype=np.uint32)
-    table[exps] = polys
-    # row 0 is the coset {0}, its own negation
-    table[negated[half][1:]] = _reversed(polys, sizes)[1:]
+    table[negated[half] % n] = polys  # the coset {0} is its own negation, with n - max = n
     return table
 
 
@@ -209,18 +212,20 @@ def _negated_leaders(leaders, m):
 
 
 def _minimal_polys(antilog, exps, sizes, m):
-    """The minimal polynomial M of alpha^e for each leader e in exps, whose
+    """The minimal polynomial of alpha^(-e) for each leader e in exps, whose
     coset has the size in sizes, as int64 bitmasks.
 
-    Bit 0 of alpha^(e k) is not always 0 (alpha^0 = 1), so its least
-    recurrence is M reversed: the rows alpha^(e k), k < 2m, are streamed
-    off the antilog table into `_berlekamp_massey`. An M whose degree is
-    not its coset's size or that misses alpha^e raises AssertionError.
+    The least recurrence of the bits s_k = bit 0 of alpha^(e k) is the
+    minimal polynomial M of alpha^e, and its connection polynomial, M
+    reversed, has the roots alpha^(-e 2^i): it is the minimal polynomial
+    of alpha^(-e). The rows alpha^(e k), k < 2m, are streamed off the
+    antilog table into `_berlekamp_massey`. A polynomial whose degree is
+    not its coset's size or that misses alpha^(-e) raises AssertionError.
     """
-    polys = _reversed(_berlekamp_massey((row & 1 for row in _powers(antilog, exps, 2 * m)), len(exps)), sizes)
-    # M(alpha^e): the xor of alpha^(e i) over the terms x^i of M, rows 0..m read again
+    polys = _berlekamp_massey((row & 1 for row in _powers(antilog, exps, 2 * m)), len(exps))
+    # P(alpha^(-e)): the xor of alpha^((n - e) i) over the terms x^i of P, i = 0..m
     root = np.zeros(len(exps), dtype=np.uint32)
-    for i, row in enumerate(_powers(antilog, exps, m + 1)):
+    for i, row in enumerate(_powers(antilog, len(antilog) - exps, m + 1)):
         root ^= np.where(polys >> i & 1, row, 0)
     if np.any(polys >> sizes != 1) or root.any():
         raise AssertionError(f"a Berlekamp-Massey row is not a minimal polynomial of GF(2^{m})")
@@ -261,31 +266,26 @@ def _berlekamp_massey(rows, width):
     return conn
 
 
-def _reversed(polys, degrees):
-    """x^d p(1/x) for each p and its d in degrees: bit i of p moves
-    to bit d - i, and bits above d are dropped."""
-    top = int(degrees.max())
-    flipped = np.zeros_like(polys)
-    for i in range(top + 1):
-        flipped |= ((polys >> i) & 1) << (top - i)
-    return flipped >> (top - degrees)
-
-
 def minimal_poly(cs):
     """prod_{i in cs} (x - alpha^i) for a 2-cyclotomic coset cs mod
     n = 2^m - 1, alpha the primitive element of field(m).
 
-    Read from the field's table of minimal polynomials at the least
-    member of cs, its leader, in whatever order cs lists its elements. An
-    n that is not 2^m - 1 is rejected, and so is a cs that is not one
-    whole orbit under doubling mod n: a set that doubling does not map
-    onto itself, or that is larger than the orbit of its least member.
+    Read from the field's table of minimal polynomials at the least member
+    of cs, its leader, or, where that entry is 0, as the reciprocal of the
+    entry at the leader n - max(cs) of -cs, in whatever order cs lists its
+    elements. An n that is not 2^m - 1 is rejected, and so is a cs that is
+    not one whole orbit under doubling mod n: a set that doubling does not
+    map onto itself, or that is larger than the coset whose polynomial it
+    reads.
     """
     n = cs.n
     if n & (n + 1):
         raise ValueError(f"coset mod {n}: n is not 2^m - 1")
     members = set(cs.elements)
-    p = _minimal_poly_table(n.bit_length()).item(min(members) % n) if members else 0
+    p = 0
+    if members:
+        table = _minimal_poly_table(n.bit_length())
+        p = table.item(min(members) % n) or reciprocal(table.item((n - max(members)) % n))
     if len(cs.elements) != p.bit_length() - 1 or {2 * e % n for e in members} != members:
         raise ValueError(f"coset {cs.elements} is not a doubling orbit mod {n}")
     return p
@@ -354,12 +354,13 @@ def class_polys(m, r):
     ClassPolys; an empty class gives 1.
 
     Doubling keeps w_2, so the coset leaders of W_c are the nonzero
-    leaders of Z_n of weight c mod r. -W_c = W_{(m-c) mod r}, so of each
-    pair of classes only the smaller index is built and its partner is its
-    reciprocal. A class that is its own partner (2c = m mod r, only at even
-    m) holds both cosets of each pair {C, -C}: only the one with the
-    smaller leader is read, into Q, and the self-negated cosets into R, so
-    P_c = Q rev(Q) R.
+    leaders of Z_n of weight c mod r. -W_c = W_{(m-c) mod r}, so of the
+    cosets of W_c those with the larger leader of their pair {C, -C} are
+    read, into Q_c, and the self-negated ones, which only a class that is
+    its own partner (2c = m mod r, only at even m) holds, into R_c. The
+    cosets of W_c with the smaller leader are the negations of those of
+    Q_{(m-c) mod r}, so by one rule P_c = Q_c rev(Q_{(m-c) mod r}) R_c,
+    built for c at most its partner; a larger partner is rev(P_c).
 
     Every minimal polynomial the classes need is read before any product,
     and then the minimal-polynomial table is dropped, so it does not sit
@@ -369,30 +370,18 @@ def class_polys(m, r):
     leaders = leaders_of_z_n(m)[1:]
     weights = np.bitwise_count(leaders) % r
     negated = _negated_leaders(leaders, m)
-    leaves = {}  # c: the minimal polynomials of Q, and of R (None for a class with a partner)
+    q_leaves = [_coset_polys(leaders[(weights == c) & (leaders > negated)].tolist(), n) for c in range(r)]
+    r_leaves = [_coset_polys(leaders[(weights == c) & (leaders == negated)].tolist(), n) for c in range(r)]
+    _minimal_poly_table.cache_clear()
+    q = [product(leaves) for leaves in q_leaves]
+    polys = [None] * r
     for c in range(r):
         partner = (m - c) % r
-        mine = weights == c
+        if c <= partner:
+            polys[c] = mul(q[c], mul(reciprocal(q[partner]), product(r_leaves[c])))
         if c < partner:
-            leaves[c] = _coset_polys(leaders[mine].tolist(), n), None
-        elif c == partner:
-            half, self_negated = leaders[mine & (leaders < negated)], leaders[mine & (leaders == negated)]
-            leaves[c] = _coset_polys(half.tolist(), n), _coset_polys(self_negated.tolist(), n)
-    _minimal_poly_table.cache_clear()
-    polys = [None] * r
-    for c, (q_leaves, r_leaves) in leaves.items():
-        polys[c] = _class_poly(q_leaves, r_leaves)
-        if r_leaves is None:
-            polys[(m - c) % r] = reciprocal(polys[c])
+            polys[partner] = reciprocal(polys[c])
     return ClassPolys(m, polys)
-
-
-def _class_poly(q_leaves, r_leaves):
-    """A class polynomial from the minimal polynomials `class_polys` read
-    for it: Q = product(q_leaves), or Q rev(Q) R for a self-paired class,
-    R = product(r_leaves) over its self-negated cosets."""
-    q = product(q_leaves)
-    return q if r_leaves is None else mul(q, mul(reciprocal(q), product(r_leaves)))
 
 
 def check_poly(g, n):

@@ -270,13 +270,13 @@ def bounded_min_distance(c, effort, seed=0, v_candidates=None):
     batches of about PAIR_BLOCK_WORDS words and scanned in order; the
     search stops once the best word reaches the lower bound. Effort 0
     reports the first generator row itself as the upper witness, reads no
-    other row and draws no permutation. Raises ValueError for a negative
-    effort; before allocating when the packed generator rows and columns,
-    one batch of permuted columns and one trial's reduced rows would
-    exceed ISD_MEMORY_BUDGET bytes; and, when a trial runs, for a seed
-    that is not a non-negative integer.
+    other row and draws no permutation. Raises ValueError for an effort
+    that is not a non-negative integer; before allocating when the packed
+    generator rows and columns, one batch of permuted columns and one
+    trial's reduced rows would exceed ISD_MEMORY_BUDGET bytes; and, when a
+    trial runs, for a seed that is not a non-negative integer.
     """
-    if effort < 0:
+    if not isinstance(effort, numbers.Integral) or effort < 0:
         raise ValueError(f"effort must be a non-negative integer, got {effort}")
     n, k = c.n, c.k
     words = -(-k // 64)

@@ -80,6 +80,13 @@ MUTANTS = [
         "test_code.py",
     ),
     Mutant(
+        "bounded_min_distance: integer effort guard",
+        "mindist.py",
+        "if not isinstance(effort, numbers.Integral) or effort < 0:",
+        "if effort < 0:",
+        "test_mindist.py",
+    ),
+    Mutant(
         "search: witness membership guard",
         "mindist.py",
         "if not c.contains(best_word):",
@@ -99,6 +106,27 @@ MUTANTS = [
         "if not 1 <= self.lower <= self.upper:",
         "if not 1 <= self.lower:",
         "test_mindist.py",
+    ),
+    Mutant(
+        "check_r: integer guard",
+        "cyclotomic.py",
+        "if not isinstance(r, numbers.Integral) or r < 2 or r % 2:",
+        "if r < 2 or r % 2:",
+        "test_cyclotomic.py",
+    ),
+    Mutant(
+        "WeightClassSpec: integer m guard",
+        "cyclotomic.py",
+        "if not isinstance(self.m, numbers.Integral):",
+        "if False:",
+        "test_cyclotomic.py",
+    ),
+    Mutant(
+        "WeightClassSpec: integer S guard",
+        "cyclotomic.py",
+        "if any(not isinstance(c, numbers.Integral) or not 0 <= c < self.r for c in s):",
+        "if any(not 0 <= c < self.r for c in s):",
+        "test_cyclotomic.py",
     ),
     Mutant(
         "max_ap_run: d_lower = run + 1",
@@ -129,10 +157,24 @@ MUTANTS = [
         "test_gf2poly.py",
     ),
     Mutant(
+        "minimal_poly: reciprocal read dropped",
+        "gf2poly.py",
+        "or reciprocal(table.item((n - max(members)) % n))",
+        "or table.item((n - max(members)) % n)",
+        "test_gf2poly.py",
+    ),
+    Mutant(
         "class_polys: self-negated factor R dropped",
         "gf2poly.py",
-        "mul(q, mul(reciprocal(q), product(r_leaves)))",
-        "mul(q, reciprocal(q))",
+        "mul(reciprocal(q[partner]), product(r_leaves[c]))",
+        "reciprocal(q[partner])",
+        "test_gf2poly.py",
+    ),
+    Mutant(
+        "class_polys: partner reversal dropped",
+        "gf2poly.py",
+        "polys[partner] = reciprocal(polys[c])",
+        "polys[partner] = polys[c]",
         "test_gf2poly.py",
     ),
     Mutant(

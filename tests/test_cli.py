@@ -18,7 +18,7 @@ from duadic import bounds, cli, gf2poly
 from duadic.bounds import best_certificate, max_ap_run
 from duadic.cli import _catalog_rows, main
 from duadic.code import CyclicCode, dual, extend, from_defining_set
-from duadic.cyclotomic import WeightClassSpec, defining_set
+from duadic.cyclotomic import WeightClassSpec, coset, defining_set, leaders_of_z_n
 from duadic.mindist import exact_min_distance
 from duadic.pairs import classify
 
@@ -258,38 +258,60 @@ def test_table_invariant_failure_is_not_an_error_cell(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
-def _count_class_products(monkeypatch):
-    """The list that each product of one class's leaves, `gf2poly._class_poly`, appends its leaves to."""
-    calls = []
-    class_poly = gf2poly._class_poly
+def _count_class_builds(monkeypatch):
+    """The lists that each `gf2poly.class_polys` call appends its (m, r) to and each
+    `gf2poly.minimal_poly` read appends its coset's leader to."""
+    builds, reads = [], []
+    class_polys, minimal_poly = gf2poly.class_polys, gf2poly.minimal_poly
 
-    def counted(q_leaves, r_leaves):
-        calls.append((q_leaves, r_leaves))
-        return class_poly(q_leaves, r_leaves)
+    def counted_build(m, r):
+        builds.append((m, r))
+        return class_polys(m, r)
 
-    monkeypatch.setattr(gf2poly, "_class_poly", counted)
-    return calls
+    def counted_read(cs):
+        reads.append(cs.leader)
+        return minimal_poly(cs)
+
+    monkeypatch.setattr(gf2poly, "class_polys", counted_build)
+    monkeypatch.setattr(gf2poly, "minimal_poly", counted_read)
+    return builds, reads
+
+
+def _reads_one_coset_of_each_negation_pair(reads, m):
+    """Whether the leaders in reads hit each pair {C, -C} of nonzero cosets mod n = 2^m - 1 once,
+    a self-negated coset a pair of its own."""
+    n = (1 << m) - 1
+
+    def pair(e):
+        return frozenset((e, min((n - j) % n for j in coset(e, n).elements)))
+
+    pairs = {pair(e) for e in leaders_of_z_n(m)[1:].tolist()}
+    return len(reads) == len(pairs) and {pair(e) for e in reads} == pairs
 
 
 def test_table_builds_each_class_polynomial_once(capsys, monkeypatch):
-    calls = _count_class_products(monkeypatch)
+    builds, reads = _count_class_builds(monkeypatch)
     code, payload, _ = run_json(capsys, "table", "-r", "16", "-S", "all", "-m", "9")
     assert code == 0 and len(payload["rows"]) == 256
     assert all(row["error"] is None for row in payload["rows"])
-    # one per pair {c, (9 - c) mod 16}, shared by all 256 rows; P_{(9-c) mod 16} is the reciprocal of P_c
-    assert len(calls) == 8
-    calls.clear()
+    # one set of class polynomials, shared by all 256 rows, from one read of each pair {C, -C}
+    assert builds == [(9, 16)]
+    assert _reads_one_coset_of_each_negation_pair(reads, 9)
+    builds.clear(), reads.clear()
     code, payload, _ = run_json(capsys, "table", "-r", "4", "-S", "0,1", "-m", "10", "--unchecked")
     assert code == 0 and payload["rows"][0]["error"] is None
-    assert len(calls) == 3  # classes 1 and 3 pair with themselves, 0 with 2
+    # classes 1 and 3 pair with themselves, 0 with 2, and some cosets are self-negated
+    assert builds == [(10, 4)]
+    assert _reads_one_coset_of_each_negation_pair(reads, 10)
 
 
 def test_mindist_builds_from_the_class_polynomials(capsys, monkeypatch):
-    calls = _count_class_products(monkeypatch)
+    builds, reads = _count_class_builds(monkeypatch)
     code, payload, _ = run_json(capsys, "mindist", "-r", "2", "-m", "9", "-S", "1", "--code", "dual")
     assert code == 0 and (payload["n"], payload["k"]) == (511, 255)
-    # one per class pair {0, 1}: the dual's check polynomial comes from the same classes
-    assert len(calls) == 1
+    # the dual's check polynomial comes from the same classes
+    assert builds == [(9, 2)]
+    assert _reads_one_coset_of_each_negation_pair(reads, 9)
 
 
 # sha256 of stdout, recorded from the plain per-spec products, the gathered

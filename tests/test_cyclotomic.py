@@ -11,6 +11,7 @@ from duadic.cyclotomic import (
     CyclotomicCoset,
     DefiningSet,
     WeightClassSpec,
+    check_r,
     coset,
     defining_set,
     rotations,
@@ -120,6 +121,28 @@ def test_spec_validation():
     assert WeightClassSpec(r=4, m=5, S=(1,), unchecked=True).S == (1,)
     with pytest.raises(ValueError):
         WeightClassSpec(r=2, m=5, S=(0, 1), unchecked=True)
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"r": 2.0, "m": 3, "S": (1,)}, "r must be a positive even integer, got 2.0"),
+        ({"r": 4, "m": 5.0, "S": (0, 1)}, "m must be an integer, got 5.0"),
+        ({"r": 2, "m": 3, "S": (1.0,)}, r"S=\(1.0,\) must contain residues in Z_2"),
+        ({"r": 4, "m": 4, "S": (0, 1.5), "unchecked": True}, r"S=\(0, 1.5\) must contain residues in Z_4"),
+        ({"r": "2", "m": 3, "S": (1,)}, "r must be a positive even integer, got 2"),
+    ],
+)
+def test_spec_rejects_non_integer_fields(fields, message):
+    # caught here, not as a TypeError later in `defining_set` or `n`
+    with pytest.raises(ValueError, match=message):
+        WeightClassSpec(**fields)
+
+
+@pytest.mark.parametrize("r", [2.0, 4.5, "4", None])
+def test_check_r_rejects_a_non_integer(r):
+    with pytest.raises(ValueError, match="r must be a positive even integer"):
+        check_r(r)
 
 
 def test_spec_normalizes_order():

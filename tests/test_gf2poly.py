@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -385,12 +386,16 @@ def test_minimal_poly_table_matches_scalar_expansion(m):
 
     with mock.patch.object(gf2poly, "_berlekamp_massey", recording):
         table = gf2poly._minimal_poly_table.__wrapped__(m)
+    larger = 0
     for cs in cosets:
         expected = _scalar_minimal_poly(f, cs.elements)
         assert minimal_poly(cs) == expected
-        assert table[cs.leader] == expected
-    # each polynomial is kept once, at its coset's leader
-    assert np.count_nonzero(table) == len(cosets)
+        # of each pair {C, -C} the entry at the larger leader holds its polynomial, the smaller one 0
+        negated = min((f.n - j) % f.n for j in cs.elements)  # the leader of -C
+        assert table[cs.leader] == (expected if cs.leader >= negated else 0)
+        larger += cs.leader >= negated
+    # and every entry off a larger leader is 0
+    assert np.count_nonzero(table) == larger
     # one pass over bit 0 of alpha^(e k), k < 2m, streamed a row per k, for the leader e of
     # each coset unless it is the negation of one with a smaller leader; below m = 14 one
     # block of SETUP_BLOCK leaders holds them all
@@ -413,11 +418,16 @@ def test_chunked_minimal_poly_table_matches_scalar_expansion(m):
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_minimal_poly_table_matches_the_root_expansion(m):
-    # at every leader against prod (x - alpha^i) over its coset, expanded in GF(2^m)[x]; 0 elsewhere
-    table, leaders = gf2poly._minimal_poly_table.__wrapped__(m), cyclotomic.leaders_of_z_n(m)
-    assert np.array_equal(table[leaders], minimal_poly_table(m)[leaders])
-    table[leaders] = 0
-    assert not table.any()
+    # against prod (x - alpha^i) over each coset, expanded in GF(2^m)[x]: the table holds it at the
+    # larger leader of each pair {C, -C} and 0 everywhere else, and `minimal_poly` reads it at
+    # every leader, a smaller one as the reciprocal of its partner's entry
+    n, leaders, oracle = (1 << m) - 1, cyclotomic.leaders_of_z_n(m), minimal_poly_table(m)
+    negated = reduce(np.minimum, cyclotomic.rotations((n - leaders) % n, m))  # the leader of -C
+    larger = leaders[leaders >= negated]
+    expected = np.zeros(n, dtype=np.uint32)
+    expected[larger] = oracle[larger]
+    assert np.array_equal(gf2poly._minimal_poly_table.__wrapped__(m), expected)
+    assert [minimal_poly(coset(e, n)) for e in leaders.tolist()] == oracle[leaders].tolist()
 
 
 @pytest.mark.parametrize("m", [3, 8, 9])
@@ -483,12 +493,13 @@ def test_minimal_poly_table_is_kept_once_per_m():
 
 @pytest.mark.parametrize("r", range(2, 17, 2))
 def test_class_polys_build_one_class_of_each_negation_pair(r):
-    # of each pair of classes one is built, and of each pair of cosets {C, -C} in a self-paired
-    # class one is read; every read comes before the first product, which runs with the
-    # minimal-polynomial table dropped. m = 2..13 covers self-paired classes (2c = m mod r, even
-    # m), self-negated cosets and empty classes (r > m)
+    # of each pair of cosets {C, -C} the one with the larger leader is read, and so is each
+    # self-negated coset: exactly the table's nonzero entries off {0}. Every read comes before
+    # the first product, which runs with the minimal-polynomial table dropped. m = 2..13 covers
+    # self-paired classes (2c = m mod r, even m), self-negated cosets and empty classes (r > m)
     for m in range(2, 14):
         n = (1 << m) - 1
+        nonzero = np.flatnonzero(gf2poly._minimal_poly_table.__wrapped__(m))[1:].tolist()
         events = []
 
         def read(cs):
@@ -503,17 +514,15 @@ def test_class_polys_build_one_class_of_each_negation_pair(r):
             found = gf2poly.class_polys(m, r)
         assert gf2poly._minimal_poly_table.cache_info().currsize == 0
         assert (found.m, found.r, found.polys) == (m, r, class_polys_direct(m, r))
-        # the smaller class of a partner pair {c, (m - c) mod r} reads all its cosets, its partner
-        # none; a self-paired class reads the smaller leader of each pair {C, -C}, and the
-        # self-negated cosets
+        # each class reads its cosets whose leader is at least that of their negation
         expected = []
-        for c, w in enumerate(weight_classes(m, r)):
-            partner = (m - c) % r
+        for w in weight_classes(m, r):
             for e in w.coset_leaders():
                 negated = min((n - j) % n for j in coset(e, n).elements)
-                if c < partner or (c == partner and e <= negated):
+                if e >= negated:
                     expected.append(e)
-        assert sorted(x for kind, x in events if kind == "read") == sorted(expected)
+        reads = sorted(x for kind, x in events if kind == "read")
+        assert reads == sorted(expected) == nonzero
         # every read comes before the first product, which runs with the table dropped
         kinds = [kind for kind, _ in events]
         assert kinds == ["read"] * kinds.count("read") + ["mul"] * kinds.count("mul")

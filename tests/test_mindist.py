@@ -556,6 +556,15 @@ def test_bounded_negative_effort_is_refused_before_any_work():
                 bounded_min_distance(c, effort=effort)
 
 
+@pytest.mark.parametrize("effort", [1.5, 2.0, "3", None])
+def test_bounded_non_integer_effort_is_refused_before_any_work(effort):
+    # refused up front, not as a TypeError inside the trial loop's range
+    c = _code(2, 7, (1,))
+    with mock.patch.object(type(c), "generator_row", side_effect=AssertionError("a generator row was read")):
+        with pytest.raises(ValueError, match=f"effort must be a non-negative integer, got {effort}"):
+            bounded_min_distance(c, effort=effort)
+
+
 def test_bounded_on_extended_rounds_lower_to_even():
     e = extend(_code(2, 7, (1,)))
     found = bounded_min_distance(e, effort=5, seed=3)
